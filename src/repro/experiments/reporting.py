@@ -350,9 +350,10 @@ _PERF_FIELDS = ("events_processed", "pages_moved", "fault_events", "eviction_sta
 
 def _perf_totals(
     plan: SweepPlan, cache, memo: dict[str, dict] | None = None
-) -> dict[str, int]:
+) -> dict[str, int] | None:
     """Aggregate the simulator's :class:`~repro.sim.results.PerfCounters`
-    over a figure's distinct cached cells.
+    over a figure's distinct cached cells, or ``None`` (unknown) without a
+    result cache to read them back from.
 
     The counters are deterministic, so they serialize into the cached payloads
     and the report can attribute simulation work (events processed, pages
@@ -361,9 +362,9 @@ def _perf_totals(
     report figures share most of their cells (12-14 are subsets of 11's
     grid), so one payload parse per distinct key serves the whole report.
     """
-    totals = dict.fromkeys(_PERF_FIELDS, 0)
     if cache is None:
-        return totals
+        return None
+    totals = dict.fromkeys(_PERF_FIELDS, 0)
     memo = {} if memo is None else memo
     seen: set[str] = set()
     for entry in plan.entries:
@@ -439,14 +440,14 @@ def generate_report(
         entry["payload"] = payload if experiment.id in ("table1", "table2") else None
         manifest["figures"].append(entry)
 
+    figure_perf = [f["perf"] for f in manifest["figures"]]
     totals = {
         "cells": sum(f["cells"] for f in manifest["figures"]),
         "distinct": sum(f["distinct"] for f in manifest["figures"]),
         "warm": sum(f["warm"] for f in manifest["figures"]),
         "recomputed": sum(f["to_execute"] for f in manifest["figures"]),
-        "perf": {
-            field: sum(f["perf"].get(field, 0) for f in manifest["figures"])
-            for field in _PERF_FIELDS
+        "perf": None if None in figure_perf else {
+            field: sum(perf[field] for perf in figure_perf) for field in _PERF_FIELDS
         },
     }
     manifest["totals"] = totals
@@ -496,8 +497,10 @@ def render_report_markdown(manifest: dict) -> str:
     ]
     if "cache_root" in manifest:
         lines.append(f"Cache root: `{manifest['cache_root']}`.")
-    perf = totals.get("perf")
-    if perf:
+    perf = totals["perf"]
+    if perf is None:
+        lines.append("Simulation work behind the artifacts: unavailable (no result cache).")
+    else:
         lines.append(
             f"Simulation work behind the artifacts: {perf['events_processed']:,} "
             f"events processed, {perf['pages_moved']:,} pages moved, "

@@ -67,6 +67,13 @@ class TenantTrace:
             raise ConfigurationError("tenant name must be non-empty")
         if not self.offsets:
             raise ConfigurationError(f"tenant {self.name!r} has an empty kernel timeline")
+        for label, values in (
+            ("kernel offsets", self.offsets),
+            ("arrivals", self.arrivals),
+            ("think times", self.think_times),
+        ):
+            if not all(math.isfinite(value) for value in values):
+                raise ConfigurationError(f"tenant {self.name!r} {label} must be finite")
         previous = 0.0
         for offset in self.offsets:
             if offset < previous:
@@ -116,12 +123,15 @@ class SharedSystem:
     def __post_init__(self) -> None:
         if self.gpu_capacity_bytes <= 0:
             raise ConfigurationError("shared GPU capacity must be positive")
-        if self.spill_write_bandwidth <= 0 or self.spill_read_bandwidth <= 0:
-            raise ConfigurationError("spill bandwidths must be positive")
+        if not all(
+            math.isfinite(value) and value > 0
+            for value in (self.spill_write_bandwidth, self.spill_read_bandwidth)
+        ):
+            raise ConfigurationError("spill bandwidths must be positive and finite")
         if self.ssd_capacity_bytes <= 0:
             raise ConfigurationError("shared SSD capacity must be positive")
-        if self.gc_alpha < 0:
-            raise ConfigurationError("gc_alpha must be >= 0")
+        if not (math.isfinite(self.gc_alpha) and self.gc_alpha >= 0):
+            raise ConfigurationError("gc_alpha must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -190,10 +200,6 @@ class _Request:
     @property
     def tenant(self) -> str:
         return self.trace.name
-
-    @property
-    def done(self) -> bool:
-        return self.next_kernel >= len(self.trace.offsets)
 
 
 @dataclass
@@ -331,7 +337,8 @@ def simulate_tenancy(
         # Event-driven least-attained-service: re-pick only when the running
         # request completed or a new request became ready. Preemption still
         # lands on kernel boundaries, but between events a request runs
-        # contiguously, so memory thrash scales with arrivals, not kernels.
+        # contiguously, so memory thrash -- and the host cost of scheduling,
+        # admission and stall accounting -- scales with events, not kernels.
         if current is None or arrived:
             current = min(
                 ready,
@@ -346,19 +353,42 @@ def simulate_tenancy(
             state.eviction_stall_seconds += stall
             perf.eviction_stalls += 1
             perf.eviction_stall_seconds += stall
+        now += stall
         if request.first_start < 0:
-            request.first_start = now + stall
+            request.first_start = now
 
-        kernel = request.next_kernel
-        previous_offset = request.trace.offsets[kernel - 1] if kernel else 0.0
-        request.delay = max(request.delay, now + stall - request.base - previous_offset)
-        finish = request.base + request.delay + request.trace.offsets[kernel]
-        state.attained += request.trace.offsets[kernel] - previous_offset
-        request.next_kernel += 1
-        perf.kernels_executed += 1
-        now = finish
+        # Run ahead: nothing can preempt ``request`` before the next event, and
+        # only completions schedule events, so the horizon is fixed for the
+        # run. Later kernels would re-admit a resident request (stall 0.0), so
+        # the loop repeats just the float steps of one kernel, in the same
+        # order; stopping at ``now >= horizon`` mirrors ``pop_until(now)``.
+        offsets = request.trace.offsets
+        end = len(offsets)
+        horizon = events.peek_time()
+        if horizon is None:
+            horizon = math.inf
+        base = request.base
+        delay = request.delay
+        attained = state.attained
+        kernel = first = request.next_kernel
+        previous_offset = offsets[kernel - 1] if kernel else 0.0
+        while True:
+            wait = now - base - previous_offset
+            if wait > delay:
+                delay = wait
+            offset = offsets[kernel]
+            now = base + delay + offset
+            attained += offset - previous_offset
+            previous_offset = offset
+            kernel += 1
+            if kernel == end or now >= horizon:
+                break
+        request.next_kernel = kernel
+        request.delay = delay
+        state.attained = attained
+        perf.kernels_executed += kernel - first
 
-        if request.done:
+        if kernel == end:
             ready.remove(request)
             pool.release(request)
             current = None
@@ -371,7 +401,7 @@ def simulate_tenancy(
                     index=request.index,
                     arrival=request.arrival,
                     first_start=request.first_start,
-                    completion=finish,
+                    completion=now,
                     latency=latency,
                     queue_delay=request.first_start - request.arrival,
                     stall_seconds=request.stall_seconds,
@@ -381,7 +411,7 @@ def simulate_tenancy(
             if not trace.arrivals and state.next_request < len(trace.think_times):
                 index = state.next_request
                 state.next_request += 1
-                schedule_arrival(trace, index, finish + trace.think_times[index])
+                schedule_arrival(trace, index, now + trace.think_times[index])
 
     incomplete = [
         state.trace.name

@@ -309,6 +309,32 @@ class TestReportCommand:
         assert manifest["totals"]["warm"] == 0
         assert "Figure 2" in (out_dir / "report.md").read_text()
 
+    def test_report_without_cache_prints_perf_as_unavailable(self, tmp_path, capsys):
+        """With no cache to read perf back from, the work is unknown, not 0."""
+        out_dir = tmp_path / "report"
+        assert run_cli(
+            "report", "--scale", "ci", "--figures", "tenancy,table2", "--no-cache",
+            "--output-dir", str(out_dir),
+        ) == 0
+        capsys.readouterr()
+        report_md = (out_dir / "report.md").read_text()
+        assert "Simulation work behind the artifacts: unavailable (no result cache)." in report_md
+        assert "events processed" not in report_md
+        manifest = json.loads((out_dir / "report.json").read_text())
+        assert manifest["totals"]["perf"] is None
+        tenancy, table2 = manifest["figures"]
+        assert tenancy["perf"] is None
+        assert table2["perf"]["events_processed"] == 0  # static: no simulation at all
+
+        cached_dir = tmp_path / "cached"
+        assert run_cli(
+            "report", "--scale", "ci", "--figures", "tenancy,table2",
+            "--cache-dir", str(tmp_path / "c"), "--output-dir", str(cached_dir),
+        ) == 0
+        cached = json.loads((cached_dir / "report.json").read_text())
+        assert cached["totals"]["perf"]["events_processed"] > 0
+        assert "unavailable" not in (cached_dir / "report.md").read_text()
+
     def test_report_shard_then_expect_warm(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "c")
         for index in range(2):

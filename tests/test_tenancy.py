@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -111,6 +112,19 @@ class TestTenantTrace:
         with pytest.raises(ConfigurationError):
             make_trace(think_times=(-0.5,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["offsets", "arrivals", "think_times"])
+    def test_rejects_non_finite_times(self, field, bad):
+        """A NaN offset used to pass (every ``nan < x`` is False) and replay to
+        a finite, silently wrong latency."""
+        kwargs = {
+            "offsets": dict(offsets=(1.0, bad, 3.0)),
+            "arrivals": dict(arrivals=(0.0, bad), think_times=()),
+            "think_times": dict(think_times=(0.0, bad)),
+        }[field]
+        with pytest.raises(ConfigurationError, match="finite"):
+            make_trace(**kwargs)
+
     def test_request_count_and_solo_latency(self):
         open_loop = make_trace(arrivals=(0.0, 1.0, 2.0), think_times=())
         assert open_loop.request_count == 3
@@ -133,6 +147,14 @@ class TestSharedSystem:
     def test_validation(self, field, value):
         with pytest.raises(ConfigurationError):
             make_system(**{field: value})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["spill_write_bandwidth", "spill_read_bandwidth", "gc_alpha"]
+    )
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make_system(**{field: bad})
 
 
 class TestSimulateTenancy:
