@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.vitality import VitalityReport
+from ..errors import GraphError
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ def memory_consumption_profile(report: VitalityReport) -> tuple[np.ndarray, np.n
     """Figure 2: per-kernel total and active memory, normalised to the peak."""
     peak = report.peak_pressure
     if peak <= 0:
-        raise ValueError("workload has no memory footprint")
+        raise GraphError("workload has no memory footprint")
     total = report.baseline_pressure / peak
     active = report.active_bytes / peak
     return total, active

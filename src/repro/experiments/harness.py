@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from ..config import SystemConfig, paper_config
 from ..core.vitality import TensorVitalityAnalyzer, VitalityReport
 from ..errors import ConfigurationError
+from ..graph.dataflow import DataflowGraph
 from ..graph.training import TrainingGraph, expand_training
 from ..models.registry import build_model, normalize_model_name
 from ..profiling import perturb_trace, profile_training_graph
@@ -106,6 +107,14 @@ def default_config(model: str, scale: str = "paper") -> SystemConfig:
     return config
 
 
+def forward_graph(model: str, batch_size: int, scale: str) -> DataflowGraph:
+    """A normalized model's forward graph at ``scale`` (CI-scale workloads use
+    the model's registered ``ci_overrides``): what :func:`build_workload`
+    expands and profiles, built without either step or the memo."""
+    overrides = MODEL_REGISTRY.metadata(model).get("ci_overrides", {}) if scale == "ci" else {}
+    return build_model(model, batch_size, **overrides)
+
+
 def build_workload(
     model: str,
     batch_size: int | None = None,
@@ -137,9 +146,8 @@ def build_workload(
     if cached is not None:
         return cached
 
-    overrides = MODEL_REGISTRY.metadata(key).get("ci_overrides", {}) if scale == "ci" else {}
-    graph = build_model(key, batch_size, **overrides)
-    training = profile_training_graph(expand_training(graph), config)
+    graph = expand_training(forward_graph(key, batch_size, scale))
+    training = profile_training_graph(graph, config)
     report = TensorVitalityAnalyzer(training).analyze()
     workload = Workload(
         name=key,

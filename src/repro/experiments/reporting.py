@@ -7,12 +7,13 @@ points built on it:
 
 * :func:`warm_cache` — execute one shard of the union of every experiment's
   grid into the result cache (the distributed half of a paper-scale sweep);
-* :func:`generate_report` — render every figure and table straight from the
-  (ideally warm) cache into ``<output_dir>/<id>.json`` artifacts plus a
-  ``report.md``/``report.json`` pair whose provenance tables say, cell by
-  cell, which results were served warm and which had to be recomputed.
+* :func:`generate_report` — execute the misses of the union grid in one
+  runner call, then render every figure and table from the result store into
+  ``<output_dir>/<id>.json`` artifacts plus a ``report.md``/``report.json``
+  pair whose provenance tables say, cell by cell, which results were served
+  warm and which had to be recomputed.
 
-Because each figure is planned against the cache *before* it is rendered, the
+Because each figure is planned against the cache *before* anything runs, the
 report doubles as a determinism audit: after a sharded sweep whose caches were
 merged, ``generate_report(expect_warm=True)`` proves that regenerating every
 figure required zero simulation.
@@ -21,7 +22,7 @@ figure required zero simulation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -328,6 +329,43 @@ def warm_cache(
     return dict(runner.last_stats)
 
 
+class _MemoryStore(dict):
+    """In-memory result store (get/put/has) for a report run without a cache:
+    each distinct cell still executes once and every figure renders from it."""
+
+    def put(self, key: str, payload: dict, cell: dict | None = None) -> None:
+        self[key] = payload
+
+    def has(self, key: str) -> bool:
+        return key in self
+
+
+def _plans_in_report_order(
+    experiments: Sequence[Experiment], scale: str, runner: SweepRunner
+) -> dict[str, SweepPlan]:
+    """Each experiment's plan as if the figures ran one after another.
+
+    A cell counts as warm for a figure when the store already held it or an
+    earlier figure's grid contains it — the provenance a figure-by-figure run
+    records, computed before the single execution of the union grid.
+    """
+    plans: dict[str, SweepPlan] = {}
+    earlier: set[str] = set()
+    for experiment in experiments:
+        if experiment.spec is None:
+            continue
+        plan = runner.plan(experiment.spec(scale))
+        plans[experiment.id] = replace(
+            plan,
+            entries=tuple(
+                replace(entry, cached=entry.cached or entry.key in earlier)
+                for entry in plan.entries
+            ),
+        )
+        earlier.update(entry.key for entry in plan.entries)
+    return plans
+
+
 def _provenance(plan: SweepPlan) -> list[dict[str, object]]:
     rows = []
     for entry in plan.entries:
@@ -348,41 +386,20 @@ def _provenance(plan: SweepPlan) -> list[dict[str, object]]:
 _PERF_FIELDS = ("events_processed", "pages_moved", "fault_events", "eviction_stalls")
 
 
-def _perf_totals(
-    plan: SweepPlan, cache, memo: dict[str, dict] | None = None
-) -> dict[str, int] | None:
-    """Aggregate the simulator's :class:`~repro.sim.results.PerfCounters`
-    over a figure's distinct cached cells, or ``None`` (unknown) without a
-    result cache to read them back from.
+def _cell_perf(payload: dict) -> dict[str, int]:
+    """A cell's :class:`~repro.sim.results.PerfCounters` fields (zeros for a
+    characterization cell). The counters are deterministic, so they serialize
+    into the payload and read the same whether it was served warm or
+    recomputed."""
+    raw = payload["result"].get("perf", {}) if payload["kind"] == "simulation" else {}
+    return {field: int(raw.get(field, 0)) for field in _PERF_FIELDS}
 
-    The counters are deterministic, so they serialize into the cached payloads
-    and the report can attribute simulation work (events processed, pages
-    moved, faults, eviction stalls) per figure without re-running anything.
-    ``memo`` caches extracted counters per cache key across figures — the
-    report figures share most of their cells (12-14 are subsets of 11's
-    grid), so one payload parse per distinct key serves the whole report.
-    """
-    if cache is None:
-        return None
-    totals = dict.fromkeys(_PERF_FIELDS, 0)
-    memo = {} if memo is None else memo
-    seen: set[str] = set()
-    for entry in plan.entries:
-        if entry.key in seen:
-            continue
-        seen.add(entry.key)
-        perf = memo.get(entry.key)
-        if perf is None:
-            payload = cache.get(entry.key)
-            if payload is None or payload.get("kind") != "simulation":
-                perf = dict.fromkeys(_PERF_FIELDS, 0)
-            else:
-                raw = payload.get("result", {}).get("perf", {})
-                perf = {field: int(raw.get(field, 0)) for field in _PERF_FIELDS}
-            memo[entry.key] = perf
-        for field in _PERF_FIELDS:
-            totals[field] += perf[field]
-    return totals
+
+def _perf_totals(plan: SweepPlan, perf: Mapping[str, dict[str, int]]) -> dict[str, int]:
+    """Simulation work (events processed, pages moved, faults, eviction
+    stalls) summed over a figure's distinct cells, from ``perf`` by cache key."""
+    keys = dict.fromkeys(entry.key for entry in plan.entries)
+    return {field: sum(perf[key][field] for key in keys) for field in _PERF_FIELDS}
 
 
 def generate_report(
@@ -394,12 +411,16 @@ def generate_report(
 ) -> dict:
     """Render every selected experiment from the cache into an artifact tree.
 
-    For each experiment the figure's spec is first *planned* against the
-    runner's cache (recording, per cell, whether the result is already warm)
-    and then rendered — executing only the misses — into
-    ``<output_dir>/<id>.json``. The manifest of all plans is written to
-    ``report.json`` and a human-readable ``report.md`` summarises warm vs
-    recomputed counts per figure, with per-cell provenance tables.
+    Every figure's spec is first *planned* against the runner's cache
+    (recording, per cell, whether the result is warm by the time a
+    figure-by-figure run would reach it). The union grid
+    (:func:`combined_spec`) then executes its misses in one
+    :meth:`~repro.experiments.sweep.SweepRunner.run` — one process pool,
+    costliest workload first — and each figure renders from the store into
+    ``<output_dir>/<id>.json``. Without a cache the store is in memory, so
+    each distinct cell still executes once. The manifest of all plans is
+    written to ``report.json`` and a human-readable ``report.md`` summarises
+    warm vs recomputed counts per figure, with per-cell provenance tables.
 
     With ``expect_warm=True`` a :class:`~repro.errors.ReproError` is raised
     (after all artifacts are written, so the report can be inspected) if any
@@ -413,26 +434,31 @@ def generate_report(
     manifest: dict = {"scale": scale, "figures": []}
     if runner.cache is not None:
         manifest["cache_root"] = str(runner.cache.root)
-    perf_memo: dict[str, dict] = {}
+    else:
+        runner = SweepRunner(jobs=runner.jobs, cache=_MemoryStore())
 
-    for experiment in _resolve(figures):
+    experiments = _resolve(figures)
+    plans = _plans_in_report_order(experiments, scale, runner)
+    # The plans' cells, concatenated, are combined_spec(scale, figures).
+    entries = [entry for plan in plans.values() for entry in plan.entries]
+    combined = SweepSpec(name="report", cells=tuple(entry.cell for entry in entries))
+    perf = {
+        entry.key: _cell_perf(result.payload)
+        for entry, result in zip(entries, runner.run(combined))
+    }
+
+    for experiment in experiments:
         entry: dict = {"id": experiment.id, "title": experiment.title}
-        plan = None
-        if experiment.spec is not None:
-            plan = runner.plan(experiment.spec(scale))
+        plan = plans.get(experiment.id)
+        if plan is not None:
             entry.update(plan.counts())
             entry["provenance"] = _provenance(plan)
+            entry["perf"] = _perf_totals(plan, perf)
         else:
             entry.update({"cells": 0, "distinct": 0, "warm": 0, "to_execute": 0})
             entry["provenance"] = []
-        payload = jsonify(experiment.render(scale=scale, runner=runner))
-        if plan is not None:
-            # After rendering, every cell is in the cache; attribute the
-            # simulator's perf counters to this figure (the plan's cache keys
-            # are render-invariant, so the pre-render plan serves).
-            entry["perf"] = _perf_totals(plan, runner.cache, memo=perf_memo)
-        else:
             entry["perf"] = dict.fromkeys(_PERF_FIELDS, 0)
+        payload = jsonify(experiment.render(scale=scale, runner=runner))
         artifact = output_dir / f"{artifact_name(experiment.id)}.json"
         with artifact.open("w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -440,14 +466,13 @@ def generate_report(
         entry["payload"] = payload if experiment.id in ("table1", "table2") else None
         manifest["figures"].append(entry)
 
-    figure_perf = [f["perf"] for f in manifest["figures"]]
     totals = {
         "cells": sum(f["cells"] for f in manifest["figures"]),
         "distinct": sum(f["distinct"] for f in manifest["figures"]),
         "warm": sum(f["warm"] for f in manifest["figures"]),
         "recomputed": sum(f["to_execute"] for f in manifest["figures"]),
-        "perf": None if None in figure_perf else {
-            field: sum(perf[field] for perf in figure_perf) for field in _PERF_FIELDS
+        "perf": {
+            field: sum(f["perf"][field] for f in manifest["figures"]) for field in _PERF_FIELDS
         },
     }
     manifest["totals"] = totals
@@ -498,15 +523,12 @@ def render_report_markdown(manifest: dict) -> str:
     if "cache_root" in manifest:
         lines.append(f"Cache root: `{manifest['cache_root']}`.")
     perf = totals["perf"]
-    if perf is None:
-        lines.append("Simulation work behind the artifacts: unavailable (no result cache).")
-    else:
-        lines.append(
-            f"Simulation work behind the artifacts: {perf['events_processed']:,} "
-            f"events processed, {perf['pages_moved']:,} pages moved, "
-            f"{perf['fault_events']:,} fault events, "
-            f"{perf['eviction_stalls']:,} eviction stalls."
-        )
+    lines.append(
+        f"Simulation work behind the artifacts: {perf['events_processed']:,} "
+        f"events processed, {perf['pages_moved']:,} pages moved, "
+        f"{perf['fault_events']:,} fault events, "
+        f"{perf['eviction_stalls']:,} eviction stalls."
+    )
     lines += [
         "",
         format_markdown_table(

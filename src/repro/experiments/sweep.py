@@ -21,18 +21,20 @@ profiling-error) cells. This module turns that grid into data:
   indistinguishable.
 
 Workers build workloads through :func:`~repro.experiments.harness.build_workload`,
-whose per-process memo means consecutive cells that share a workload profile
-it only once; ``ProcessPoolExecutor.map`` chunks consecutive cells onto the
-same worker, so specs (like every figure's) that group cells by workload keep
-that locality in parallel runs too.
+whose per-process memo means cells that share a workload profile it only once.
+The process pool therefore receives one task per workload — every miss of one
+``(model, batch_size, scale)`` — and starts the costliest workloads first
+(:func:`estimate_cell_cost`), so no worker idles while another still holds a
+queue of expensive cells.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -45,7 +47,7 @@ from ..errors import ConfigurationError, QueueError
 from ..registry import load_plugins
 from ..sim import SimulationResult
 from .cache import CACHE_SCHEMA_VERSION, ResultCache
-from .harness import build_workload, canonicalize_cell_fields, default_config
+from .harness import build_workload, canonicalize_cell_fields, default_config, forward_graph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api import Scenario
@@ -276,9 +278,9 @@ class SweepPlan:
 
     Sharding is deterministic and cache-key based: the *distinct* keys of the
     spec, in first-occurrence order, are split into ``shard_count`` contiguous
-    blocks (the same rule the process pool uses for chunking), so cells that
-    share a workload stay on one shard and every key is owned by exactly one
-    shard regardless of which machine computes the plan.
+    blocks, so consecutive cells that share a workload mostly stay on one
+    shard and every key is owned by exactly one shard regardless of which
+    machine computes the plan.
     """
 
     name: str
@@ -431,27 +433,57 @@ def _execute_cell_dict(cell_dict: dict) -> dict:
     return execute_cell(SweepCell.from_dict(cell_dict))
 
 
+def _execute_cell_group(cell_dicts: list[dict]) -> list[dict]:
+    """Worker task: the cells of one workload, in order, in one process (so
+    they share its workload memo and plan cache)."""
+    return [_execute_cell_dict(cell_dict) for cell_dict in cell_dicts]
+
+
+@lru_cache(maxsize=None)
+def _workload_cost(model: str, batch_size: int, scale: str) -> float:
+    return float(forward_graph(model, batch_size, scale).num_operators * batch_size)
+
+
 def estimate_cell_cost(cell: SweepCell) -> float:
-    """Relative execution-cost estimate of one cell (for drain ordering).
+    """Relative execution-cost estimate of one cell (for dispatch ordering).
 
-    The proxy is ``num_kernels x batch_size``: the simulator's work grows with
-    the kernel count (event-loop length, planner candidates) and memory
-    pressure grows with the batch, which is what makes the planner and the
-    eviction path expensive. The workload is built through the memoized
-    :func:`~repro.experiments.harness.build_workload`, so estimating a grid
-    costs one profile per distinct (model, batch, scale) — the same profiles
-    the sweep itself will reuse. Characterization cells (``policy=None``) skip
-    the simulation entirely and are weighted down accordingly.
+    The proxy is ``forward operators x batch_size``: the simulator's work grows
+    with the kernel count (event-loop length, planner candidates), which the
+    forward graph's operator count tracks, and memory pressure grows with the
+    batch, which is what makes the planner and the eviction path expensive.
+    Only the forward graph is built, once per (model, batch, scale) and outside
+    the :func:`~repro.experiments.harness.build_workload` memo, so a pool's
+    parent profiles no workload before it forks. Characterization cells
+    (``policy=None``) skip the simulation entirely and are weighted down
+    accordingly.
 
-    Only the *ordering* of the estimates matters (slowest-first queue drain);
-    the absolute scale is meaningless.
+    Only the *ordering* of the estimates matters (costliest-first pool
+    dispatch, slowest-first queue drain); the absolute scale is meaningless.
     """
     cell = cell.resolved()
-    workload = build_workload(cell.model, cell.batch_size, cell.scale)
-    cost = float(workload.graph.num_kernels * workload.batch_size)
+    assert cell.batch_size is not None  # resolved() fills the default batch
+    cost = _workload_cost(cell.model, cell.batch_size, cell.scale)
     if cell.policy is None:
         cost *= 0.1
     return cost
+
+
+def _dispatch_groups(cells: Sequence[SweepCell], keys: Sequence[str]) -> list[list[int]]:
+    """Indices of ``cells`` grouped by workload, in pool dispatch order.
+
+    One group per ``(model, batch_size, scale)``, cells in spec order within
+    it; groups in descending summed :func:`estimate_cell_cost` (longest
+    processing time first), ties broken on the group's first cache key.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for index, cell in enumerate(cells):
+        resolved = cell.resolved()
+        groups.setdefault((resolved.model, resolved.batch_size, resolved.scale), []).append(index)
+
+    def cost(group: list[int]) -> float:
+        return sum(estimate_cell_cost(cells[index]) for index in group)
+
+    return sorted(groups.values(), key=lambda group: (-cost(group), keys[group[0]]))
 
 
 class SweepRunner:
@@ -587,28 +619,29 @@ class SweepRunner:
                 miss_order.append(key)
                 miss_cells.append(cell)
 
-        if miss_cells:
-            if self.queue_dir is not None or self.queue_url is not None:
-                # Queue mode: competing consumers drain the cells dynamically
-                # and publish payloads through the cache (already persisted).
-                for key, payload in zip(miss_order, self._queue_execute(miss_cells)):
-                    payloads[key] = payload
-            else:
-                if self.jobs and self.jobs > 1 and len(miss_cells) > 1:
-                    cell_dicts = [cell.to_dict() for cell in miss_cells]
-                    workers = min(self.jobs, len(miss_cells))
-                    # Chunk consecutive cells onto the same worker so cells that
-                    # share a workload reuse its per-process build_workload memo
-                    # (the default chunksize of 1 would scatter them).
-                    chunksize = max(1, len(cell_dicts) // workers)
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        executed = list(pool.map(_execute_cell_dict, cell_dicts, chunksize=chunksize))
-                else:
-                    executed = [execute_cell(cell) for cell in miss_cells]
-                for cell, key, payload in zip(miss_cells, miss_order, executed):
-                    payloads[key] = payload
-                    if self.cache is not None:
-                        self.cache.put(key, payload, cell=cell.to_dict())
+        def store(index: int, payload: dict) -> None:
+            payloads[miss_order[index]] = payload
+            if self.cache is not None:
+                self.cache.put(miss_order[index], payload, cell=miss_cells[index].to_dict())
+
+        if self.queue_dir is not None or self.queue_url is not None:
+            # Queue mode: competing consumers drain the cells dynamically
+            # and publish payloads through the cache (already persisted).
+            if miss_cells:
+                payloads.update(zip(miss_order, self._queue_execute(miss_cells)))
+        elif self.jobs and self.jobs > 1 and len(miss_cells) > 1:
+            groups = _dispatch_groups(miss_cells, miss_order)
+            with ProcessPoolExecutor(max_workers=min(self.jobs, len(groups))) as pool:
+                futures = {}
+                for group in groups:
+                    cell_dicts = [miss_cells[index].to_dict() for index in group]
+                    futures[pool.submit(_execute_cell_group, cell_dicts)] = group
+                for future in as_completed(futures):
+                    for index, payload in zip(futures[future], future.result()):
+                        store(index, payload)
+        else:
+            for index, cell in enumerate(miss_cells):
+                store(index, execute_cell(cell))
 
         self.last_stats = {
             "cells": len(cells),

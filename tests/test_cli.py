@@ -309,31 +309,52 @@ class TestReportCommand:
         assert manifest["totals"]["warm"] == 0
         assert "Figure 2" in (out_dir / "report.md").read_text()
 
-    def test_report_without_cache_prints_perf_as_unavailable(self, tmp_path, capsys):
-        """With no cache to read perf back from, the work is unknown, not 0."""
+    def test_report_without_cache_totals_match_a_cached_run(self, tmp_path, capsys):
+        """Without a cache the perf comes from the results in memory: the same
+        totals a cached run reads, never silent zeros."""
         out_dir = tmp_path / "report"
         assert run_cli(
             "report", "--scale", "ci", "--figures", "tenancy,table2", "--no-cache",
             "--output-dir", str(out_dir),
         ) == 0
-        capsys.readouterr()
-        report_md = (out_dir / "report.md").read_text()
-        assert "Simulation work behind the artifacts: unavailable (no result cache)." in report_md
-        assert "events processed" not in report_md
-        manifest = json.loads((out_dir / "report.json").read_text())
-        assert manifest["totals"]["perf"] is None
-        tenancy, table2 = manifest["figures"]
-        assert tenancy["perf"] is None
-        assert table2["perf"]["events_processed"] == 0  # static: no simulation at all
-
         cached_dir = tmp_path / "cached"
         assert run_cli(
             "report", "--scale", "ci", "--figures", "tenancy,table2",
             "--cache-dir", str(tmp_path / "c"), "--output-dir", str(cached_dir),
         ) == 0
+        capsys.readouterr()
+        manifest = json.loads((out_dir / "report.json").read_text())
         cached = json.loads((cached_dir / "report.json").read_text())
-        assert cached["totals"]["perf"]["events_processed"] > 0
-        assert "unavailable" not in (cached_dir / "report.md").read_text()
+        assert manifest["totals"]["perf"]["events_processed"] > 0
+        assert manifest["totals"] == cached["totals"]
+        assert [f["perf"] for f in manifest["figures"]] == [f["perf"] for f in cached["figures"]]
+        assert manifest["figures"][1]["perf"]["events_processed"] == 0  # table2: static
+        report_md = (out_dir / "report.md").read_text()
+        perf_line = next(line for line in report_md.splitlines() if "Simulation work" in line)
+        assert perf_line in (cached_dir / "report.md").read_text()
+
+    def test_report_without_cache_executes_each_distinct_cell_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.experiments import combined_spec, sweep
+
+        executed: list[str] = []
+        real = sweep.execute_cell
+
+        def counting(cell):
+            executed.append(cell.cache_key())
+            return real(cell)
+
+        monkeypatch.setattr(sweep, "execute_cell", counting)
+        figures = "11,12,13,14"
+        assert run_cli(
+            "report", "--scale", "ci", "--figures", figures, "--no-cache",
+            "--output-dir", str(tmp_path / "report"),
+        ) == 0
+        capsys.readouterr()
+        distinct = {cell.cache_key() for cell in combined_spec("ci", figures.split(",")).cells}
+        assert sorted(executed) == sorted(distinct)
+        assert len(executed) == 30
 
     def test_report_shard_then_expect_warm(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "c")
