@@ -52,19 +52,21 @@ class DeepUMPolicy(MigrationPolicy):
         self._watermark = eviction_watermark
         self._hit_rate = correlation_hit_rate
         self._gpu_capacity = 0
+        self._kernel_tensors: list[tuple[int, ...]] = []
 
     def setup(self, context: PolicyContext) -> None:
         super().setup(context)
         self._gpu_capacity = context.config.gpu.memory_bytes
+        self._kernel_tensors = [kernel.tensor_ids for kernel in context.graph.kernels]
 
     # -- hooks -------------------------------------------------------------------
 
     def prefetches_for(self, kernel: Kernel, now: float) -> list[MigrationDecision]:
-        kernels = self.context.graph.kernels
         decisions: list[MigrationDecision] = []
         seen: set[int] = set()
-        for upcoming in kernels[kernel.index + 1 : kernel.index + 1 + self._lookahead]:
-            for tensor_id in upcoming.tensor_ids:
+        window = self._kernel_tensors[kernel.index + 1 : kernel.index + 1 + self._lookahead]
+        for tensor_ids in window:
+            for tensor_id in tensor_ids:
                 if tensor_id in seen:
                     continue
                 seen.add(tensor_id)

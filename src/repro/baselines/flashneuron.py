@@ -102,9 +102,9 @@ class FlashNeuronPolicy(MigrationPolicy):
         for tensor_id in resident:
             if freed >= needed_bytes:
                 break
-            if self.context.graph.tensor(tensor_id).is_global:
-                continue
             if tensor_id not in self._offloaded:
+                continue
+            if self.context.graph.tensor(tensor_id).is_global:
                 continue
             decisions.append(MigrationDecision(tensor_id, MemoryLocation.SSD))
             freed += self.context.tensor_size(tensor_id)

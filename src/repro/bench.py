@@ -261,6 +261,43 @@ def check_regressions(
     return messages
 
 
+#: Deterministic work counters that ``repro bench --check`` requires to equal
+#: the baseline's exactly: they depend only on the simulated cell, never on
+#: the machine, so any difference is a behaviour change, not noise.
+GATED_COUNTERS = (
+    "events_processed",
+    "kernels_executed",
+    "pages_moved",
+    "pte_updates",
+    "fault_events",
+    "eviction_stalls",
+)
+
+
+def check_counters(current: dict, baseline: dict) -> list[str]:
+    """Compare two payloads; returns a message per cell whose gated work
+    counters differ from its baseline.
+
+    Only cells present in both payloads gate, and only on counters the
+    baseline recorded.
+    """
+    messages = []
+    baseline_cells = baseline.get("cells", {})
+    for name, record in current.get("cells", {}).items():
+        reference = baseline_cells.get(name)
+        if reference is None:
+            continue
+        before, after = reference.get("perf") or {}, record.get("perf") or {}
+        changed = [
+            f"{counter} {before[counter]} -> {after.get(counter)}"
+            for counter in GATED_COUNTERS
+            if counter in before and after.get(counter) != before[counter]
+        ]
+        if changed:
+            messages.append(f"{name}: work counters changed: " + ", ".join(changed))
+    return messages
+
+
 def _phase_culprit(reference: dict, record: dict) -> str:
     """Name the phase that grew the most between two records of one cell.
 

@@ -11,7 +11,8 @@ Subcommands:
   Markdown + JSON artifacts (or warm one shard of the full grid);
 * ``bench``  — time the simulation core on representative cells and write
   ``BENCH_core.json`` (the repo's recorded perf trajectory); ``--check``
-  gates CI against >2x regressions of the committed baseline;
+  gates CI against >2x regressions of the committed baseline and against
+  any change of its deterministic work counters;
 * ``lint``   — run the project's AST-based static analyzer (determinism and
   queue-atomicity rules, DET001.. QUE001/API001) over source trees;
   ``--project`` adds the interprocedural rules (DET005 entropy taint over the
@@ -460,13 +461,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"cannot read bench baseline {args.check}: {exc}")
         regressions = bench_mod.check_regressions(
             payload, baseline, threshold=args.threshold
-        )
+        ) + bench_mod.check_counters(payload, baseline)
         if regressions:
             for message in regressions:
                 print(f"REGRESSION {message}", file=sys.stderr)
             return 1
         print(
-            f"no cell regressed beyond {args.threshold:.1f}x of {args.check}",
+            f"no cell regressed beyond {args.threshold:.1f}x of {args.check} "
+            "and every work counter matches it",
             file=sys.stderr,
         )
     return 0
@@ -897,7 +899,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="benchmark artifact path (default: BENCH_core.json)")
     bench.add_argument("--check", default=None, metavar="BASELINE",
                        help="compare against a committed BENCH_core.json and exit "
-                            "non-zero if any timed cell regressed beyond --threshold")
+                            "non-zero if any timed cell regressed beyond --threshold "
+                            "or any work counter differs")
     bench.add_argument("--threshold", type=float, default=2.0, metavar="X",
                        help="regression gate for --check (default: 2.0x)")
     bench.add_argument("--profile", action="store_true",

@@ -141,7 +141,7 @@ class ResultCache:
         tmp = _tmp_path(path)
         try:
             with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(entry, fh, separators=(",", ":"))
+                fh.write(json.dumps(entry, separators=(",", ":")))
             tmp.replace(path)
         except BaseException:
             tmp.unlink(missing_ok=True)

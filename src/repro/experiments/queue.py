@@ -262,7 +262,7 @@ class WorkQueue(QueueBackend):
         tmp = _tmp_path(target)
         try:
             with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(entry, fh, separators=(",", ":"))
+                fh.write(json.dumps(entry, separators=(",", ":")))
             try:
                 os.link(tmp, target)
             except FileExistsError:
@@ -292,7 +292,7 @@ class WorkQueue(QueueBackend):
         tmp = _tmp_path(self._priority_path)
         try:
             with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(merged, fh, separators=(",", ":"), sort_keys=True)
+                fh.write(json.dumps(merged, separators=(",", ":"), sort_keys=True))
             os.replace(tmp, self._priority_path)
         finally:
             tmp.unlink(missing_ok=True)

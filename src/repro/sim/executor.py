@@ -11,11 +11,10 @@ per phase.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..config import SystemConfig
 from ..core.plan_cache import snapshot_counters as plan_cache_snapshot
@@ -39,6 +38,26 @@ _UNLIMITED = 1 << 62
 
 class _WorkloadFailure(Exception):
     """Raised internally when a policy cannot execute the workload at all."""
+
+
+def lru_victim_candidates(
+    residents: Mapping[int, int],
+    last_used: Mapping[int, float],
+    unavailable: set[int],
+) -> list[int]:
+    """Evictable GPU-resident tensors in least-recently-used order.
+
+    Residents no kernel has used yet come first (in allocation order), then
+    the used ones in ``last_used`` order (oldest first). Both passes are plain
+    dict membership tests.
+    """
+    candidates = [
+        tid for tid in residents if tid not in last_used and tid not in unavailable
+    ]
+    candidates += [
+        tid for tid in last_used if tid in residents and tid not in unavailable
+    ]
+    return candidates
 
 
 @dataclass
@@ -86,6 +105,10 @@ class ExecutionSimulator:
         self._host = MemoryPool("host", config.host_memory_bytes, config.uvm.page_size)
         self._page_table = UnifiedPageTable(UnifiedAddressSpace(config.uvm.page_size))
         self._fault_model = PageFaultModel(config.uvm)
+        #: Per-graph lookup tables, built once: tensor sizes and each kernel's
+        #: deduplicated tensor ids (both are recomputed on every property read).
+        self._sizes: dict[int, int] = {t.tensor_id: t.size_bytes for t in graph.tensors}
+        self._kernel_tensors: list[tuple[int, ...]] = [k.tensor_ids for k in graph.kernels]
 
         cache_before = plan_cache_snapshot()
         plan_start = _time.perf_counter()
@@ -124,18 +147,13 @@ class ExecutionSimulator:
         # Batched fault path: the per-tensor fault cost depends only on the
         # tensor size, so one vectorized pass over the graph replaces a scalar
         # fault_batches/fault_overhead call pair per demand fault.
-        tensors = list(graph.tensors)
-        sizes = [tensor.size_bytes for tensor in tensors]
-        fault_batches = self._fault_model.batch_fault_batches(sizes)
+        tensor_ids = list(self._sizes)
+        fault_batches = self._fault_model.batch_fault_batches(list(self._sizes.values()))
         fault_overheads = fault_batches * config.uvm.fault_latency
-        self._fault_batches: dict[int, int] = {
-            tensor.tensor_id: batches
-            for tensor, batches in zip(tensors, fault_batches.tolist())
-        }
-        self._fault_overheads: dict[int, float] = {
-            tensor.tensor_id: overhead
-            for tensor, overhead in zip(tensors, fault_overheads.tolist())
-        }
+        self._fault_batches: dict[int, int] = dict(zip(tensor_ids, fault_batches.tolist()))
+        self._fault_overheads: dict[int, float] = dict(
+            zip(tensor_ids, fault_overheads.tolist())
+        )
         #: GPU placements deferred within one kernel's residency loop and
         #: flushed as a single grouped page-table update (before observers and
         #: lifetime bookkeeping see the kernel boundary).
@@ -206,9 +224,10 @@ class ExecutionSimulator:
                 if not self._issue_prefetch(decision.tensor_id, now):
                     self._deferred_prefetches[decision.tensor_id] = None
 
-            protected = set(kernel.tensor_ids)
+            tensor_ids = self._kernel_tensors[kernel.index]
+            protected = set(tensor_ids)
             ready = now
-            for tensor_id in kernel.tensor_ids:
+            for tensor_id in tensor_ids:
                 ready = max(ready, self._ensure_resident(tensor_id, protected, now))
             self._flush_gpu_places()
 
@@ -229,7 +248,7 @@ class ExecutionSimulator:
             for observer in self._observers:
                 observer.on_kernel_finish(kernel, timing, now)
 
-            for tensor_id in kernel.tensor_ids:
+            for tensor_id in tensor_ids:
                 self._last_used[tensor_id] = now
                 self._last_used.move_to_end(tensor_id)
             self._policy.on_kernel_finished(kernel, now)
@@ -267,22 +286,24 @@ class ExecutionSimulator:
             else 0,
         )
         for tensor in globals_sorted:
-            self._page_table.register(tensor.tensor_id, tensor.size_bytes)
-            if self._gpu.can_fit(tensor.size_bytes):
-                self._gpu.allocate(tensor.tensor_id, tensor.size_bytes)
-                self._page_table.place(tensor.tensor_id, MemoryLocation.GPU)
-            elif self._host.can_fit(tensor.size_bytes):
-                self._host.allocate(tensor.tensor_id, tensor.size_bytes)
-                self._page_table.place(tensor.tensor_id, MemoryLocation.HOST)
+            tensor_id = tensor.tensor_id
+            size = self._sizes[tensor_id]
+            self._page_table.register(tensor_id, size)
+            if self._gpu.can_fit(size):
+                self._gpu.allocate(tensor_id, size)
+                self._page_table.place(tensor_id, MemoryLocation.GPU)
+            elif self._host.can_fit(size):
+                self._host.allocate(tensor_id, size)
+                self._page_table.place(tensor_id, MemoryLocation.HOST)
             else:
-                self._engine.preload_flash(tensor.tensor_id, tensor.size_bytes)
-                self._page_table.place(tensor.tensor_id, MemoryLocation.FLASH)
+                self._engine.preload_flash(tensor_id, size)
+                self._page_table.place(tensor_id, MemoryLocation.FLASH)
 
     # -- residency management --------------------------------------------------------------
 
     def _ensure_resident(self, tensor_id: int, protected: set[int], now: float) -> float:
         """Make one tensor resident in GPU memory; return when it is usable."""
-        size = self._graph.tensor(tensor_id).size_bytes
+        size = self._sizes[tensor_id]
 
         if self._gpu.contains(tensor_id):
             pending = self._evicting.pop(tensor_id, None)
@@ -341,16 +362,17 @@ class ExecutionSimulator:
         Returns True when the prefetch was issued or is unnecessary, False when
         it must be retried later because the GPU has no headroom yet.
         """
-        if self._gpu.contains(tensor_id) or tensor_id in self._arrival_time:
-            if self._gpu.contains(tensor_id):
-                self._evicting.pop(tensor_id, None)
+        if self._gpu.contains(tensor_id):
+            self._evicting.pop(tensor_id, None)
+            return True
+        if tensor_id in self._arrival_time:
             return True
         if tensor_id not in self._page_table.address_space:
             return True
         location = self._page_table.location_of(tensor_id)
         if location in (MemoryLocation.UNMAPPED, MemoryLocation.GPU):
             return True
-        size = self._graph.tensor(tensor_id).size_bytes
+        size = self._sizes[tensor_id]
         self._drain_evictions(now)
         if not self._gpu.can_fit(size):
             # No headroom yet: keep the request queued and retry later.
@@ -383,7 +405,7 @@ class ExecutionSimulator:
             or tensor_id in protected
         ):
             return None
-        size = self._graph.tensor(tensor_id).size_bytes
+        size = self._sizes[tensor_id]
         if destination is MemoryLocation.HOST and not self._host.can_fit(size):
             destination = MemoryLocation.SSD
         target = (
@@ -408,9 +430,7 @@ class ExecutionSimulator:
     def _submit(self, request: MigrationRequest, when: float) -> float:
         """Submit a migration to the engine, notifying observers."""
         completion = self._engine.submit(request, when)
-        self._perf.pages_moved += max(
-            1, math.ceil(request.size_bytes / self._config.uvm.page_size)
-        )
+        self._perf.pages_moved += max(1, -(-request.size_bytes // self._config.uvm.page_size))
         for observer in self._observers:
             observer.on_migration(request, when, completion)
         return completion
@@ -441,16 +461,7 @@ class ExecutionSimulator:
         # First ask the policy for victims to push out, offering the evictable
         # resident tensors in least-recently-used order.
         unavailable = protected | set(self._evicting)
-        resident = [
-            tid
-            for tid in self._gpu.resident_tensors()
-            if tid not in unavailable and tid not in self._last_used
-        ]
-        resident += [
-            tid
-            for tid in self._last_used
-            if self._gpu.contains(tid) and tid not in unavailable
-        ]
+        resident = lru_victim_candidates(self._gpu.residents, self._last_used, unavailable)
         needed = size_bytes - self._gpu.free_bytes
         victims = self._policy.select_victims(needed, unavailable, resident, current)
         for decision in victims:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -10,6 +9,21 @@ import numpy as np
 
 from ..errors import SimulationError
 from ..uvm.migration import TrafficCounters
+
+
+def _traffic_dict(traffic: TrafficCounters) -> dict:
+    """``traffic`` as a JSON-safe dictionary, in field order."""
+    return {
+        "gpu_ssd_bytes": traffic.gpu_ssd_bytes,
+        "gpu_host_bytes": traffic.gpu_host_bytes,
+        "ssd_read_bytes": traffic.ssd_read_bytes,
+        "ssd_write_bytes": traffic.ssd_write_bytes,
+        "host_read_bytes": traffic.host_read_bytes,
+        "host_write_bytes": traffic.host_write_bytes,
+        "fault_count": traffic.fault_count,
+        "prefetch_count": traffic.prefetch_count,
+        "eviction_count": traffic.eviction_count,
+    }
 
 
 @dataclass(frozen=True)
@@ -34,7 +48,12 @@ class KernelTiming:
 
     def to_dict(self) -> dict:
         """All fields as a JSON-safe dictionary."""
-        return dataclasses.asdict(self)
+        return {
+            "index": self.index,
+            "ideal_duration": self.ideal_duration,
+            "stall": self.stall,
+            "start_time": self.start_time,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelTiming":
@@ -213,7 +232,7 @@ class SimulationResult:
             "ideal_time": self.ideal_time,
             "execution_time": self.execution_time if math.isfinite(self.execution_time) else None,
             "kernel_timings": [t.to_dict() for t in self.kernel_timings],
-            "traffic": dataclasses.asdict(self.traffic),
+            "traffic": _traffic_dict(self.traffic),
             "ssd_bytes_written": self.ssd_bytes_written,
             "ssd_bytes_read": self.ssd_bytes_read,
             "ssd_write_amplification": self.ssd_write_amplification,

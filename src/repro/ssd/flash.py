@@ -88,6 +88,14 @@ class FlashBlock:
         self.write_pointer += 1
         return offset
 
+    def program_run(self, num_pages: int) -> None:
+        """Program the next ``num_pages`` pages at once."""
+        offset = self.write_pointer
+        if offset + num_pages > self.pages_per_block:
+            raise SSDError(f"block {self.block_id} cannot fit {num_pages} more pages")
+        self.valid[offset : offset + num_pages] = [True] * num_pages
+        self.write_pointer = offset + num_pages
+
     def invalidate(self, offset: int) -> None:
         """Mark a previously-programmed page as stale."""
         if offset >= self.write_pointer:

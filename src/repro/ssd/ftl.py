@@ -1,13 +1,15 @@
 """Page-mapped flash translation layer with greedy garbage collection.
 
 The mapping is page-granular (as in a real page-mapped FTL) but the write
-path is *extent-aware*: tensor-sized host writes arrive as contiguous logical
-runs, and :meth:`FlashTranslationLayer.write_run` programs each run into the
-open block chunk-at-a-time — one garbage-collection check and one block lookup
-per chunk instead of per page — while producing exactly the same mapping,
-counters and GC schedule as the equivalent sequence of single-page writes.
-A per-block reverse index makes GC relocation O(pages in the victim block)
-instead of a scan over the whole device mapping.
+and trim paths work on runs: tensor-sized host writes arrive as contiguous
+logical runs, and :meth:`FlashTranslationLayer.write_run` programs each run
+into the open block chunk-at-a-time — one garbage-collection check, one block
+lookup and one slice update of the validity bits per chunk instead of per
+page — while :meth:`FlashTranslationLayer.trim_run` discards a run in one
+pass. Both produce exactly the same mapping, validity bits, counters and GC
+schedule as the equivalent sequence of single-page calls. A per-block reverse
+index makes GC relocation O(pages in the victim block) instead of a scan over
+the whole device mapping.
 """
 
 from __future__ import annotations
@@ -111,32 +113,41 @@ class FlashTranslationLayer:
 
         Behaviour-preserving bulk path: the mapping, counters and garbage
         collections are identical to ``count`` sequential :meth:`write` calls,
-        but fresh pages are programmed chunk-at-a-time into the open block (GC
-        is only re-checked when the block state can actually have changed —
-        at chunk boundaries — and overwrites fall back to the per-page path,
-        whose invalidation can change GC victim ranking mid-run).
+        but each chunk of fresh pages that fits the open block is programmed
+        at once. The per-page GC check is a no-op inside such a chunk as long
+        as more than ``gc_threshold_blocks`` blocks stay free; when opening
+        the chunk's block used up that margin, the chunk is one page, so the
+        next page's check runs. Overwrites fall back to the per-page path,
+        whose invalidation can change GC victim ranking mid-run.
         """
         if count <= 0:
             raise SSDError("write runs must cover at least one page")
         total = GCResult()
+        mapping = self._mapping
+        threshold = self.gc_threshold_blocks
         page = start_logical
         end = start_logical + count
         while page < end:
-            if page in self._mapping:
+            if page in mapping:
                 total.merge(self.write(page))
                 page += 1
                 continue
-            total.merge(self._maybe_collect())
+            if self.free_block_count <= threshold:
+                total.merge(self._maybe_collect())
             block_id = self._writable_block()
             block = self.blocks[block_id]
+            room = block.free_pages if self.free_block_count > threshold else 1
+            limit = min(end, page + room)
             owners = self._block_pages.setdefault(block_id, {})
-            chunk_limit = min(end, page + block.free_pages)
-            while page < chunk_limit and page not in self._mapping:
-                offset = block.program()
-                self._mapping[page] = (block_id, offset)
-                owners[page] = None
-                self.host_pages_written += 1
-                page += 1
+            base = block.write_pointer - page  # logical page p lands at offset base + p
+            stop = page
+            while stop < limit and stop not in mapping:
+                mapping[stop] = (block_id, base + stop)
+                owners[stop] = None
+                stop += 1
+            block.program_run(stop - page)
+            self.host_pages_written += stop - page
+            page = stop
         return total
 
     def read(self, logical_page: int) -> tuple[int, int]:
@@ -151,9 +162,17 @@ class FlashTranslationLayer:
             self._block_pages.get(location[0], {}).pop(logical_page, None)
 
     def trim_run(self, start_logical: int, count: int) -> None:
-        """Discard a contiguous run of logical pages."""
+        """Discard a contiguous run of logical pages (same effect as per-page
+        :meth:`trim` calls in ascending order)."""
+        mapping = self._mapping
+        blocks = self.blocks
+        block_pages = self._block_pages
         for logical in range(start_logical, start_logical + count):
-            self.trim(logical)
+            location = mapping.pop(logical, None)
+            if location is not None:
+                block_id, offset = location
+                blocks[block_id].invalidate(offset)
+                block_pages.get(block_id, {}).pop(logical, None)
 
     # -- internals ---------------------------------------------------------------
 

@@ -1,19 +1,19 @@
 """Byte/page accounted memory pools for GPU and host memory.
 
-The pool tracks residency at *extent* granularity: each resident tensor owns
-one (or, under fragmentation, a few) contiguous page runs assigned by a
-first-fit :class:`~repro.core.extents.ExtentAllocator`. Occupancy counters are
-maintained incrementally, so ``used_bytes``/``free_bytes``/``can_fit`` — the
-simulator's innermost admission checks — are O(1) instead of a sum over every
-resident tensor.
+A pool is a byte counter: each resident tensor is charged its size rounded up
+to whole pages, and admission compares that against the free bytes. No pool
+assigns physical page runs — nothing in the simulation reads a pool-level
+placement — so ``used_bytes``/``free_bytes``/``can_fit``, the simulator's
+innermost admission checks, are O(1) counter reads. Extents
+(:class:`~repro.core.extents.Extent`) remain for the virtual ranges of the
+address space and page table only.
 """
 
 from __future__ import annotations
 
-import math
+from typing import Mapping
 
 from ..config import PAGE_SIZE
-from ..core.extents import Extent, ExtentAllocator
 from ..errors import AllocationError
 
 
@@ -22,9 +22,6 @@ class MemoryPool:
 
     Allocation is accounted at page granularity (a tensor occupies whole
     pages), which is how the unified memory system manages every tensor.
-    Admission is purely byte-based — the extent allocator records *where* the
-    pages live and never rejects a fitting request (a fragmented pool spills a
-    tensor across multiple runs, like a real allocator would).
     """
 
     def __init__(self, name: str, capacity_bytes: int, page_size: int = PAGE_SIZE):
@@ -36,8 +33,6 @@ class MemoryPool:
         self.capacity_bytes = capacity_bytes
         self.page_size = page_size
         self._resident: dict[int, int] = {}
-        self._extents: dict[int, tuple[Extent, ...]] = {}
-        self._allocator = ExtentAllocator()
         self._used_bytes = 0
         #: High-water mark of occupancy, for reporting.
         self.peak_used_bytes = 0
@@ -45,7 +40,7 @@ class MemoryPool:
     # -- accounting -------------------------------------------------------
 
     def _page_bytes(self, size_bytes: int) -> int:
-        return max(1, math.ceil(size_bytes / self.page_size)) * self.page_size
+        return max(1, -(-size_bytes // self.page_size)) * self.page_size
 
     @property
     def used_bytes(self) -> int:
@@ -56,38 +51,15 @@ class MemoryPool:
         return self.capacity_bytes - self._used_bytes
 
     @property
-    def num_resident(self) -> int:
-        return len(self._resident)
+    def residents(self) -> Mapping[int, int]:
+        """Live view of resident tensor id -> charged bytes, in allocation order."""
+        return self._resident
 
     def contains(self, tensor_id: int) -> bool:
         return tensor_id in self._resident
 
-    def resident_tensors(self) -> list[int]:
-        return list(self._resident)
-
-    def resident_size(self, tensor_id: int) -> int:
-        return self._resident.get(tensor_id, 0)
-
     def can_fit(self, size_bytes: int) -> bool:
-        return self._page_bytes(size_bytes) <= self.free_bytes
-
-    # -- extent views -----------------------------------------------------
-
-    def extents_of(self, tensor_id: int) -> tuple[Extent, ...]:
-        """The physical page runs backing one resident tensor (empty if absent)."""
-        return self._extents.get(tensor_id, ())
-
-    @property
-    def num_extents(self) -> int:
-        """Total extents across resident tensors (== residents when unfragmented)."""
-        return sum(len(extents) for extents in self._extents.values())
-
-    def fragmentation(self) -> float:
-        """Fraction of resident tensors split across more than one run."""
-        if not self._extents:
-            return 0.0
-        split = sum(1 for extents in self._extents.values() if len(extents) > 1)
-        return split / len(self._extents)
+        return self._page_bytes(size_bytes) <= self.capacity_bytes - self._used_bytes
 
     # -- mutation -----------------------------------------------------------
 
@@ -96,28 +68,18 @@ class MemoryPool:
         if tensor_id in self._resident:
             return
         rounded = self._page_bytes(size_bytes)
-        if rounded > self.free_bytes:
+        if rounded > self.capacity_bytes - self._used_bytes:
             raise AllocationError(
                 f"pool {self.name!r} cannot fit tensor {tensor_id}: "
                 f"need {rounded} bytes, only {self.free_bytes} free"
             )
         self._resident[tensor_id] = rounded
-        self._extents[tensor_id] = self._allocator.allocate(rounded // self.page_size)
         self._used_bytes += rounded
         if self._used_bytes > self.peak_used_bytes:
             self.peak_used_bytes = self._used_bytes
-        return
 
     def free(self, tensor_id: int) -> int:
         """Release a tensor's space; returns the bytes freed (0 if absent)."""
         freed = self._resident.pop(tensor_id, 0)
-        if freed:
-            self._used_bytes -= freed
-            self._allocator.free(self._extents.pop(tensor_id))
+        self._used_bytes -= freed
         return freed
-
-    def clear(self) -> None:
-        self._resident.clear()
-        self._extents.clear()
-        self._allocator = ExtentAllocator()
-        self._used_bytes = 0

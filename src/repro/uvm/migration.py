@@ -9,7 +9,6 @@ prefetches, then pre-evictions) within each batch.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -94,6 +93,15 @@ class TrafficCounters:
         return self.gpu_ssd_bytes + self.gpu_host_bytes
 
 
+#: Channels a transfer crosses, per (toward the GPU, involves flash).
+_CHANNELS: dict[tuple[bool, bool], tuple[str, ...]] = {
+    (True, False): ("pcie_in",),
+    (True, True): ("pcie_in", "ssd_read"),
+    (False, False): ("pcie_out",),
+    (False, True): ("pcie_out", "ssd_write"),
+}
+
+
 class MigrationEngine:
     """Times tensor migrations over the PCIe link, host DRAM and the SSD.
 
@@ -122,7 +130,6 @@ class MigrationEngine:
         }
         self._busy_time = dict.fromkeys(self._free_at, 0.0)
         self.traffic = TrafficCounters()
-        self._sequence = itertools.count()
 
     # -- properties -----------------------------------------------------------
 
@@ -145,7 +152,7 @@ class MigrationEngine:
     def submit(self, request: MigrationRequest, now: float) -> float:
         """Schedule one migration; returns its completion time."""
         channels = self._channels_for(request)
-        start = max([now] + [self._free_at[c] for c in channels])
+        start = max(now, *(self._free_at[c] for c in channels))
         duration = self._service_time(request)
         completion = start + duration
         for channel in channels:
@@ -164,15 +171,12 @@ class MigrationEngine:
     def earliest_start(self, request: MigrationRequest, now: float) -> float:
         """When a request would begin service if submitted now (no side effects)."""
         channels = self._channels_for(request)
-        return max([now] + [self._free_at[c] for c in channels])
+        return max(now, *(self._free_at[c] for c in channels))
 
     # -- internals -----------------------------------------------------------------
 
-    def _channels_for(self, request: MigrationRequest) -> list[str]:
-        channels = ["pcie_in" if request.direction_in else "pcie_out"]
-        if request.involves_flash:
-            channels.append("ssd_read" if request.direction_in else "ssd_write")
-        return channels
+    def _channels_for(self, request: MigrationRequest) -> tuple[str, ...]:
+        return _CHANNELS[request.direction_in, request.involves_flash]
 
     def _service_time(self, request: MigrationRequest) -> float:
         pcie = self._config.interconnect

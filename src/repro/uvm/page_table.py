@@ -21,6 +21,10 @@ class MemoryLocation(Enum):
     SSD = "flash"
     UNMAPPED = "unmapped"
 
+    #: Members are singletons, so the C-level identity hash is a valid hash
+    #: (Enum's default hashes the member name in Python on every dict access).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class PageTableEntry:

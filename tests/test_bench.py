@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import (
     CORE_CELLS,
+    DEFAULT_BENCH_PATH,
+    GATED_COUNTERS,
     HEADLINE_CELL,
     PRE_REFACTOR_SECONDS,
     QUICK_TIERS,
     bench_cells,
+    check_counters,
     check_regressions,
+    load_bench,
     plan_cache_summary,
     profile_rows,
     run_bench,
@@ -70,6 +75,28 @@ class TestBenchEngine:
         assert len(messages) == 1 and messages[0].startswith("big:")
         # An explicit floor of 0 gates everything.
         assert len(check_regressions(current, baseline, min_seconds=0.0)) == 2
+
+    def test_check_counters_flags_any_changed_work_counter(self):
+        perf = dict.fromkeys(GATED_COUNTERS, 10)
+        baseline = {"cells": {"a": {"perf": perf}, "b": {"perf": perf}}}
+        assert check_counters(baseline, baseline) == []
+        current = {"cells": {
+            "a": {"perf": {**perf, "pte_updates": 11}},
+            "b": {"perf": {**perf, "eviction_stall_seconds": 9.0}},  # not gated
+            "new": {"perf": {}},
+        }}
+        (message,) = check_counters(current, baseline)
+        assert message.startswith("a:") and "pte_updates 10 -> 11" in message
+        # Baselines without recorded counters never gate.
+        assert check_counters(current, {"cells": {"a": {"seconds": 1.0}}}) == []
+
+    def test_quick_cells_reproduce_the_committed_work_counters(self):
+        """The committed BENCH_core.json counters are what the simulator does
+        today, so the CI gate on them passes on an unchanged tree."""
+        committed = load_bench(Path(__file__).resolve().parents[1] / DEFAULT_BENCH_PATH)
+        measured = run_bench(quick=True, repeats=1)
+        assert set(measured["cells"]) <= set(committed["cells"])
+        assert check_counters(measured, committed) == []
 
     def test_regression_message_names_the_slowest_growing_phase(self):
         baseline = {"cells": {"a": {
@@ -237,6 +264,25 @@ class TestBenchCli:
                      "--check", str(measured), "--threshold", "50"]) == 0
         assert main(["bench", "--from", str(slow_path),
                      "--check", str(baseline_path), "--threshold", "1.01"]) == 1
+
+    def test_check_fails_on_a_planted_counter_change(self, tmp_path, capsys):
+        """Timings within the threshold still fail --check when a
+        deterministic work counter differs from the baseline."""
+        measured = run_bench(quick=True, repeats=1)
+        measured_path = tmp_path / "measured.json"
+        write_bench(measured, measured_path)
+        planted = json.loads(json.dumps(measured))
+        name = next(iter(planted["cells"]))
+        planted["cells"][name]["perf"]["pages_moved"] += 1
+        planted_path = tmp_path / "planted.json"
+        write_bench(planted, planted_path)
+
+        assert main(["bench", "--from", str(planted_path),
+                     "--check", str(measured_path), "--threshold", "50"]) == 1
+        err = capsys.readouterr().err
+        assert f"REGRESSION {name}: work counters changed: pages_moved" in err
+        assert main(["bench", "--from", str(measured_path),
+                     "--check", str(measured_path), "--threshold", "50"]) == 0
 
     def test_from_missing_payload_is_a_configuration_error(self, tmp_path):
         assert main(["bench", "--from", str(tmp_path / "missing.json")]) == 2

@@ -9,6 +9,7 @@ and crashed writers must not leak temp files that shadow real entries.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
@@ -51,6 +52,21 @@ class TestRoundTrip:
         cache.put(key, payload)
         assert cache.get(key) == payload
         assert cache.has(key)
+
+    @relaxed
+    @given(key=keys, payload=payloads)
+    def test_entry_bytes_are_the_compact_json_encoding(self, tmp_path, key, payload):
+        """An entry on disk is exactly ``json.dumps(entry, separators=(",", ":"))``,
+        which is also what the streaming ``json.dump`` encoder writes."""
+        cache = ResultCache(tmp_path / "c")
+        cell = {"model": "bert", "policy": "g10"}
+        path = cache.put(key, payload, cell=cell)
+        entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "cell": cell, "payload": payload}
+        expected = json.dumps(entry, separators=(",", ":"))
+        assert path.read_bytes() == expected.encode("utf-8")
+        streamed = io.StringIO()
+        json.dump(entry, streamed, separators=(",", ":"))
+        assert streamed.getvalue() == expected
 
     @relaxed
     @given(key=keys, first=payloads, second=payloads)

@@ -1,5 +1,8 @@
 """Tests for the execution simulator, the event queue and the policies."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.baselines import (
@@ -14,7 +17,7 @@ from repro.baselines import (
 )
 from repro.config import MB, paper_config
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.harness import run_policies, run_policy
+from repro.experiments.harness import build_workload, run_policies, run_policy
 from repro.graph import expand_training
 from repro.sim import EventQueue, ExecutionSimulator
 from repro.sim.policy import MigrationDecision
@@ -97,6 +100,20 @@ class TestSimulationResult:
         slowdowns = result.kernel_slowdowns()
         assert slowdowns.tolist() == [1.0, 3.0]
         assert result.stalled_kernel_fraction() == pytest.approx(0.5)
+
+    def test_to_dict_serializes_like_the_asdict_encoding(self):
+        """The explicit field-by-field encoding of a real paper-scale result
+        serializes byte-equal to the ``dataclasses.asdict`` encoding."""
+        result = run_policy(build_workload("bert", scale="paper"), "deepum")
+        assert result.kernel_timings and result.traffic.total_bytes > 0
+        reference = {
+            **result.to_dict(),
+            "kernel_timings": [dataclasses.asdict(t) for t in result.kernel_timings],
+            "traffic": dataclasses.asdict(result.traffic),
+        }
+        assert json.dumps(result.to_dict(), separators=(",", ":")) == json.dumps(
+            reference, separators=(",", ":")
+        )
 
 
 class TestExecutorBasics:
