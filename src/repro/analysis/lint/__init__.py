@@ -1,5 +1,5 @@
 """``repro lint`` — project-specific static analysis for determinism and
-queue atomicity.
+the CLI's error contract.
 
 The public surface:
 

@@ -35,10 +35,8 @@ Sessions are the unit of dispatch everywhere: the sweep runner's
 a session, so ``Scenario(...).run()`` is bit-identical to the same cell run
 through ``SweepRunner``, the CLI, or the legacy
 ``build_workload``/``run_policy`` free functions (which remain as deprecated
-shims). The distributed work queue
-(:class:`~repro.experiments.queue.WorkQueue`) inherits the same property: a
-queue task is exactly :meth:`Scenario.cell` plus :meth:`Scenario.cache_key`,
-and its workers execute through sessions too.
+shims). Sharded sweeps inherit the same property: a shard owns cells by
+:meth:`Scenario.cache_key`, and its workers execute through sessions too.
 
 Models and policies resolve through the open registries
 (:mod:`repro.registry`); anything registered with ``@register_policy`` /
@@ -230,9 +228,10 @@ class Scenario:
     def cache_key(self) -> str:
         """The sweep-cache content key this scenario's result is stored under.
 
-        Together with :meth:`cell` this is the identity of a distributed
-        work-queue task: ``WorkQueue.enqueue([scenario.cell()])`` queues
-        exactly the computation whose result lands at this key.
+        Together with :meth:`cell` this is the identity of one sweep cell:
+        ``SweepRunner().run([scenario.cell()])`` executes exactly the
+        computation whose result lands at this key, and a sharded sweep
+        assigns the cell to the shard that owns this key.
         """
         return self.session().cache_key()
 

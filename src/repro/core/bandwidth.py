@@ -28,7 +28,7 @@ scalar because the probe semantics subtract availabilities *sequentially*
 reassociate: any cumulative-sum shortcut would round differently. All scalar
 arithmetic happens on float64 values, which is bit-identical to the plain
 Python floats of the retained scalar reference
-(:class:`repro.core.reference.ScalarChannelSchedule`); the Hypothesis
+(``ScalarChannelSchedule`` in ``tests/scalar_reference.py``); the Hypothesis
 equivalence suite proves the two implementations byte-equal on randomized
 schedules.
 """

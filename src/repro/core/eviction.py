@@ -83,7 +83,7 @@ def saturation_end_slot(
     is exactly the first cumulative sum ``>= ideal`` (``np.cumsum`` accumulates
     sequentially, so its partial sums are bit-identical to the running scalar
     sum — pinned by the Hypothesis suite against
-    :func:`repro.core.reference.scalar_saturation_end_slot`).
+    ``scalar_saturation_end_slot`` in ``tests/scalar_reference.py``).
     """
     span = num_slots - 1 - start_slot
     if span <= 0 or ideal_seconds <= 0:

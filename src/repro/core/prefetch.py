@@ -65,7 +65,7 @@ class SmartPrefetcher:
         window (or the window floor when none is blocked). Pure comparisons —
         no accumulation — so the slot-order rewrite is trivially bit-safe; the
         retained scalar walk lives in
-        ``repro.core.reference.scalar_earliest_issue``.
+        ``scalar_earliest_issue`` in ``tests/scalar_reference.py``.
         """
         issue = prefetch.issue_slot
         if issue <= earliest_allowed:

@@ -119,7 +119,7 @@ class MemoryPressureTimeline:
         # pieces), so slicing replaces fancy indexing — same values, same
         # summation order, no index array. The pre-clamped excess curve makes
         # each evaluation one slice + min + sum; the scalar reference
-        # (``repro.core.reference.scalar_eviction_benefit``) recomputes the
+        # (``scalar_eviction_benefit`` in ``tests/scalar_reference.py``) recomputes the
         # clamp per call and the Hypothesis suite pins the two byte-equal.
         if period.wraps_around:
             excess = np.concatenate(

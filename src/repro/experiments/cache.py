@@ -34,7 +34,7 @@ import shutil
 from pathlib import Path
 
 # Per-process counter making temp names unique across concurrent writers in
-# one process (threads, or queue workers sharing a forked counter are still
+# one process (threads, or forked writers sharing a copied counter are still
 # distinct by pid). count().__next__ is atomic under the GIL.
 _TMP_COUNTER = itertools.count()
 
@@ -42,7 +42,7 @@ _TMP_COUNTER = itertools.count()
 def _tmp_path(target: Path) -> Path:
     """A collision-free temporary sibling of ``target``.
 
-    Two queue workers ``put()``-ing the same key concurrently used to race on
+    Two concurrent writers ``put()``-ing the same key used to race on
     the shared ``<key>.tmp.<pid>`` name when they shared a pid (threads) —
     one writer could truncate or rename the other's half-written file. A
     per-call counter makes every temporary unique, so the only shared state
@@ -210,8 +210,3 @@ class ResultCache:
             "stale_tmp": len(stale),
             "stale_tmp_bytes": sum(_size_or_zero(p) for p in stale),
         }
-
-    def connect_info(self) -> dict:
-        """Picklable descriptor a worker process reconstructs this cache from
-        (see :func:`~repro.experiments.backend.cache_from_info`)."""
-        return {"kind": "file", "root": str(self.root)}

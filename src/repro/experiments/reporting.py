@@ -286,27 +286,6 @@ def combined_spec(
     return SweepSpec(name="report", cells=tuple(cells))
 
 
-def enqueue_report(
-    queue,
-    scale: str = "ci",
-    figures: Sequence[str] | None = None,
-    cache=None,
-    priority: str | None = None,
-) -> dict[str, int]:
-    """Enqueue the union report grid into a work queue (``repro queue enqueue``).
-
-    This is the producer half of a queue-mode sweep: one enqueue, then any
-    number of competing consumers (``repro queue work`` processes, possibly on
-    different machines with independent caches) drain the grid; merging their
-    caches makes :func:`generate_report` a pure, ``expect_warm`` resume.
-    Cells already warm in ``cache`` are recorded as done rather than queued.
-    Enqueueing is idempotent — keys already tracked by the queue are skipped —
-    so a crashed producer can simply re-run. ``priority="slowest-first"``
-    records estimated cell costs so consumers start the longest cells first.
-    """
-    return queue.enqueue(combined_spec(scale, figures).cells, cache=cache, priority=priority)
-
-
 def warm_cache(
     scale: str = "ci",
     figures: Sequence[str] | None = None,

@@ -10,22 +10,17 @@ profiling-error) cells. This module turns that grid into data:
   :class:`~repro.config.SystemConfig` (the Figures 16-18 sensitivity axes);
 * :class:`SweepSpec` — a named, ordered collection of cells with a grid
   constructor for cartesian-product sweeps;
-* :class:`SweepRunner` — executes a spec serially, over a
-  ``ProcessPoolExecutor``, or through a work queue of competing consumers
-  (``queue_dir`` for the file-backed
-  :class:`~repro.experiments.queue.WorkQueue`, ``queue_url`` for the
-  HTTP-backed :class:`~repro.experiments.http_queue.HttpWorkQueue` speaking
-  to a ``repro serve`` process); it deduplicates identical cells, serves
-  repeats from a :class:`~repro.experiments.cache.ResultCache`, and always
-  returns results in spec order so parallel, queued and serial runs are
-  indistinguishable.
+* :class:`SweepRunner` — executes a spec serially or over one
+  ``ProcessPoolExecutor``; it deduplicates identical cells, serves repeats
+  from a :class:`~repro.experiments.cache.ResultCache`, and always returns
+  results in spec order so parallel and serial runs are indistinguishable.
 
 Workers build workloads through :func:`~repro.experiments.harness.build_workload`,
 whose per-process memo means cells that share a workload profile it only once.
 The process pool therefore receives one task per workload — every miss of one
 ``(model, batch_size, scale)`` — and starts the costliest workloads first
 (:func:`estimate_cell_cost`), so no worker idles while another still holds a
-queue of expensive cells.
+backlog of expensive cells.
 """
 
 from __future__ import annotations
@@ -36,14 +31,13 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from ..analysis.characterization import CharacterizationResult, characterize_workload
 from ..config import SystemConfig
-from ..errors import ConfigurationError, QueueError
+from ..errors import ConfigurationError
 from ..registry import load_plugins
 from ..sim import SimulationResult
 from .cache import CACHE_SCHEMA_VERSION, ResultCache
@@ -51,7 +45,6 @@ from .harness import build_workload, canonicalize_cell_fields, default_config, f
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api import Scenario
-    from .backend import ResultStore
 
 
 @dataclass(frozen=True)
@@ -458,7 +451,7 @@ def estimate_cell_cost(cell: SweepCell) -> float:
     accordingly.
 
     Only the *ordering* of the estimates matters (costliest-first pool
-    dispatch, slowest-first queue drain); the absolute scale is meaningless.
+    dispatch); the absolute scale is meaningless.
     """
     cell = cell.resolved()
     assert cell.batch_size is not None  # resolved() fills the default batch
@@ -491,61 +484,14 @@ class SweepRunner:
 
     Args:
         jobs: Worker processes to fan cells out over; ``None``, 0 or 1 runs
-            in-process (and benefits from the warm workload memo). In queue
-            mode this is the number of competing consumer processes.
+            in-process (and benefits from the warm workload memo).
         cache: Persistent result cache; ``None`` disables on-disk caching
             (in-run deduplication of identical cells still applies).
-        queue_dir: When set, cache misses are not fanned out over a process
-            pool but enqueued into the file-backed
-            :class:`~repro.experiments.queue.WorkQueue` at this directory and
-            drained by ``jobs`` competing worker processes (crash-safe
-            lease/ack semantics, dead-worker requeue). Results are read back
-            from the cache, so queue runs are bit-identical to serial ones.
-            Requires ``cache``.
-        queue_url: Like ``queue_dir``, but the queue lives behind a
-            ``repro serve`` HTTP service at this URL. When no ``cache`` is
-            given, results are read/written through the *server's* cache
-            (an :class:`~repro.experiments.http_queue.HttpResultCache`).
-            Mutually exclusive with ``queue_dir``.
-        lease_timeout: Queue-mode lease timeout in seconds (how long a dead
-            worker's cells stay stranded before reclaim). File backend only:
-            over HTTP the server is the single authority for lease timing.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        cache: "ResultCache | ResultStore | None" = None,
-        queue_dir: str | Path | None = None,
-        queue_url: str | None = None,
-        lease_timeout: float | None = None,
-    ):
-        if queue_dir is not None and queue_url is not None:
-            raise ConfigurationError(
-                "queue_dir and queue_url are mutually exclusive: a sweep "
-                "drains either a local queue directory or a queue server"
-            )
-        if queue_url is not None and lease_timeout is not None:
-            raise ConfigurationError(
-                "lease_timeout cannot be set for an HTTP queue: the server "
-                "is the single authority for lease timing (configure it on "
-                "repro serve)"
-            )
-        if queue_url is not None and cache is None:
-            # Results travel through the server's cache; no local cache needed.
-            from .http_queue import HttpResultCache
-
-            cache = HttpResultCache(queue_url)
-        if queue_dir is not None and cache is None:
-            raise ConfigurationError(
-                "queue-mode execution requires a result cache "
-                "(results travel from workers to the runner through it)"
-            )
+    def __init__(self, jobs: int | None = None, cache: ResultCache | None = None):
         self.jobs = jobs
         self.cache = cache
-        self.queue_dir = Path(queue_dir) if queue_dir is not None else None
-        self.queue_url = queue_url
-        self.lease_timeout = lease_timeout
         #: (hits, executed) counters of the most recent :meth:`run`.
         self.last_stats: dict[str, int] = {"cells": 0, "cache_hits": 0, "executed": 0}
 
@@ -624,12 +570,7 @@ class SweepRunner:
             if self.cache is not None:
                 self.cache.put(miss_order[index], payload, cell=miss_cells[index].to_dict())
 
-        if self.queue_dir is not None or self.queue_url is not None:
-            # Queue mode: competing consumers drain the cells dynamically
-            # and publish payloads through the cache (already persisted).
-            if miss_cells:
-                payloads.update(zip(miss_order, self._queue_execute(miss_cells)))
-        elif self.jobs and self.jobs > 1 and len(miss_cells) > 1:
+        if self.jobs and self.jobs > 1 and len(miss_cells) > 1:
             groups = _dispatch_groups(miss_cells, miss_order)
             with ProcessPoolExecutor(max_workers=min(self.jobs, len(groups))) as pool:
                 futures = {}
@@ -649,7 +590,7 @@ class SweepRunner:
             "executed": len(miss_cells),
         }
         # Plan-fragment cache deltas for this run. Only the serial in-process
-        # path plans in this process; pool/queue workers warm their own
+        # path plans in this process; pool workers warm their own
         # process-global caches, so their outcomes are not visible here.
         for counter, count in snapshot_counters().items():
             self.last_stats[f"plan_{counter}"] = count - plan_cache_before[counter]
@@ -657,40 +598,6 @@ class SweepRunner:
             CellResult(cell=cell, payload=payloads[key], cached=key in cached_keys)
             for cell, key in zip(cells, keys)
         ]
-
-    def _queue_execute(self, cells: list[SweepCell]) -> list[dict]:
-        """Execute cache misses through the work queue; payloads in cell order.
-
-        Deferred import: :mod:`~repro.experiments.queue` imports this module
-        for :class:`SweepCell`/:func:`execute_cell`.
-        """
-        from .backend import QueueBackend
-        from .queue import DEFAULT_LEASE_TIMEOUT, QueueRunner, WorkQueue
-
-        queue: QueueBackend
-        if self.queue_url is not None:
-            from .http_queue import HttpWorkQueue
-
-            queue = HttpWorkQueue(self.queue_url)
-        else:
-            queue = WorkQueue(
-                self.queue_dir, lease_timeout=self.lease_timeout or DEFAULT_LEASE_TIMEOUT
-            )
-        QueueRunner(queue, self.cache, workers=self.jobs or 1).run(cells)
-        payloads, missing = [], []
-        for cell in cells:
-            payload = self.cache.get(cell.cache_key())
-            if payload is None:
-                missing.append(cell.cache_key()[:12])
-            else:
-                payloads.append(payload)
-        if missing:
-            where = getattr(self.cache, "root", None) or getattr(self.cache, "url", "?")
-            raise QueueError(
-                f"queue drained but the cache at {where} is missing "
-                f"{len(missing)} result(s): {', '.join(missing)}"
-            )
-        return payloads
 
     def run_one(self, cell: SweepCell) -> CellResult:
         """Execute a single cell."""

@@ -129,6 +129,10 @@ class TensorSet:
         self._next_id += 1
         return tensor
 
+    def copy(self) -> "TensorSet":
+        """An independent registry holding the same (immutable) tensors."""
+        return TensorSet(dict(self._tensors), self._next_id)
+
     def register(self, tensor: TensorInfo) -> TensorInfo:
         """Register an externally-constructed tensor, enforcing id uniqueness."""
         if tensor.tensor_id in self._tensors:

@@ -95,11 +95,13 @@ def expand_training(
 
     Returns:
         A :class:`TrainingGraph` whose kernels cover forward, backward and
-        optimizer phases in execution order.
+        optimizer phases in execution order. Its tensor set is a copy: the
+        forward graph is left unchanged, so expanding it again gives an
+        equal training graph.
     """
     graph.validate()
 
-    tensors = graph.tensors
+    tensors = graph.tensors.copy()
     kernels: list[Kernel] = []
     gradient_of: dict[int, int] = {}
     weight_ids = [t.tensor_id for t in graph.weight_tensors()]

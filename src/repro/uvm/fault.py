@@ -46,7 +46,7 @@ class PageFaultModel:
         it. ``np.ceil`` on float64 matches ``math.ceil`` for any realistic
         tensor size (< 2**53 bytes), so each element is bit-identical to the
         scalar method (pinned against
-        :func:`repro.core.reference.scalar_fault_costs` by the Hypothesis
+        ``scalar_fault_costs`` in ``tests/scalar_reference.py`` by the Hypothesis
         suite).
         """
         sizes = np.asarray(sizes, dtype=np.float64)

@@ -50,7 +50,10 @@ def branchy_graph() -> DataflowGraph:
 @pytest.fixture(scope="session")
 def small_config() -> SystemConfig:
     """A deliberately tiny system so the tiny MLP still overflows GPU memory."""
-    return paper_config().with_gpu_memory(192 * 1024).with_host_memory(256 * 1024)
+    config = paper_config().with_gpu_memory(128 * 1024).with_host_memory(256 * 1024)
+    footprint = expand_training(build_tiny_mlp()).tensors.total_bytes
+    assert footprint > config.gpu.memory_bytes, "the tiny MLP must overflow small_config's GPU"
+    return config
 
 
 @pytest.fixture(scope="session")

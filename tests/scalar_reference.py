@@ -10,14 +10,14 @@ Python, because golden files and the sweep result cache are compared
 bit-for-bit.
 
 This module keeps the scalar implementations alive so the contract stays
-checkable: the Hypothesis suites in ``tests/test_vectorized_equivalence.py``
+checkable: the Hypothesis suites in ``test_vectorized_equivalence.py``
 drive the production code and these references with identical randomized
 inputs and assert exact (``==``, not approximate) agreement. When changing a
 vectorized hot path, change the matching reference only if the *semantics*
 changed — and then regenerate nothing: goldens must stay byte-identical.
 
-Nothing here is exercised on the production path; the simulator never imports
-this module.
+Nothing here is exercised on the production path, so it lives with the
+tests and does not ship in the package.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import math
 
 import numpy as np
 
-from ..config import SystemConfig
-from ..errors import SchedulingError
-from .bandwidth import Direction
-from .vitality import InactivePeriod
+from repro.config import SystemConfig
+from repro.core.bandwidth import Direction
+from repro.core.vitality import InactivePeriod
+from repro.errors import SchedulingError
 
 #: The scalar twin of :data:`repro.core.bandwidth.EXHAUSTED_SLOT`; the skip
 #: index compares against it exactly (a fully consumed slot holds IEEE-754

@@ -260,7 +260,7 @@ class TestTempFileHygiene:
 
 
 class TestConcurrentPutRace:
-    """Regression suite for the queue-worker ``put()`` race: two writers of
+    """Regression suite for the concurrent-writer ``put()`` race: two writers of
     the same key used to share one ``<key>.tmp.<pid>`` temporary when they
     shared a pid, so one could truncate or rename the other's half-written
     file. Temp names are now unique per call; the only shared step left is

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -117,99 +116,6 @@ class TestSweepCommand:
         ) == 0
         rows = json.loads(artifact.read_text())
         assert [row["cell"]["policy"] for row in rows] == ["g10", "base_uvm"]
-
-
-class TestQueueCommands:
-    def test_sweep_queue_matches_serial_and_resumes_warm(self, tmp_path, capsys):
-        base = ("sweep", "--models", "bert", "--policies", "ideal,g10", "--scale", "ci")
-        assert run_cli(*base, "--no-cache") == 0
-        serial = capsys.readouterr().out
-
-        queued_args = (
-            *base, "--queue", "--workers", "2",
-            "--queue-dir", str(tmp_path / "q"), "--cache-dir", str(tmp_path / "c"),
-        )
-        assert run_cli(*queued_args) == 0
-        queued = capsys.readouterr()
-        assert queued.out == serial  # bit-identical to the serial run
-        assert "2 executed" in queued.err
-
-        # Re-running is a pure cache resume; the drained queue is untouched.
-        assert run_cli(*queued_args) == 0
-        resumed = capsys.readouterr()
-        assert resumed.out == serial
-        assert "2 cached, 0 executed" in resumed.err
-
-    def test_enqueue_work_status_report_roundtrip(self, tmp_path, capsys):
-        """The CI competing-consumer workflow in miniature: enqueue the grid,
-        drain it with a worker, verify the accounting, report fully warm."""
-        qdir, cdir = str(tmp_path / "q"), str(tmp_path / "c")
-        assert run_cli(
-            "queue", "enqueue", "--figures", "2", "--scale", "ci",
-            "--queue-dir", qdir, "--cache-dir", cdir,
-        ) == 0
-        assert "enqueued 4 cell(s)" in capsys.readouterr().out
-
-        # Enqueueing is idempotent: every key is already tracked.
-        assert run_cli(
-            "queue", "enqueue", "--figures", "2", "--scale", "ci",
-            "--queue-dir", qdir, "--cache-dir", cdir,
-        ) == 0
-        assert "enqueued 0 cell(s)" in capsys.readouterr().out
-
-        assert run_cli(
-            "queue", "work", "--queue-dir", qdir, "--cache-dir", cdir,
-            "--worker-id", "consumer-a",
-        ) == 0
-        assert "executed 4 cell(s)" in capsys.readouterr().err
-
-        assert run_cli("queue", "status", "--queue-dir", qdir) == 0
-        status = capsys.readouterr().out
-        assert "done       : 4" in status
-        assert "total      : 4 (4 expected)" in status
-        assert ("reconciled : queued + leased + done + failed == total == expected"
-                " -> yes") in status
-
-        assert run_cli(
-            "report", "--figures", "2", "--scale", "ci", "--cache-dir", cdir,
-            "--output-dir", str(tmp_path / "report"), "--expect-warm",
-        ) == 0
-
-    def test_requeue_stale_reclaims_a_dead_workers_cell(self, tmp_path, capsys):
-        from repro.experiments import WorkQueue
-
-        queue = WorkQueue(tmp_path / "q", lease_timeout=0.01)
-        queue.enqueue_tasks([("ab12cd34", {"cell": None})])
-        queue.lease("dead-worker")
-        time.sleep(0.05)  # let the (tiny) lease deadline pass
-
-        assert run_cli("queue", "requeue-stale", "--queue-dir", str(tmp_path / "q")) == 0
-        assert "requeued 1 stale lease(s)" in capsys.readouterr().out
-        assert run_cli("queue", "status", "--queue-dir", str(tmp_path / "q")) == 0
-        assert "queued     : 1" in capsys.readouterr().out
-
-    def test_queue_clear(self, tmp_path, capsys):
-        qdir = str(tmp_path / "q")
-        from repro.experiments import WorkQueue
-
-        WorkQueue(tmp_path / "q").enqueue_tasks([("ab12cd34", {"cell": None})])
-        assert run_cli("queue", "clear", "--queue-dir", qdir) == 0
-        assert "cleared" in capsys.readouterr().out
-        assert not (tmp_path / "q").exists()
-
-    def test_queue_requires_the_cache(self, tmp_path, capsys):
-        assert run_cli(
-            "sweep", "--models", "bert", "--policies", "g10", "--scale", "ci",
-            "--queue", "--no-cache",
-        ) == 2
-        assert "requires the result cache" in capsys.readouterr().err
-
-    def test_workers_without_queue_rejected(self, tmp_path, capsys):
-        assert run_cli(
-            "sweep", "--models", "bert", "--policies", "g10", "--scale", "ci",
-            "--cache-dir", str(tmp_path / "c"), "--workers", "2",
-        ) == 2
-        assert "require --queue" in capsys.readouterr().err
 
 
 class TestShardedCommands:

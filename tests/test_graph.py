@@ -257,6 +257,15 @@ class TestTrainingExpansion:
         }
         assert forward_outputs & backward_inputs
 
+    def test_expansion_leaves_the_forward_graph_unchanged(self):
+        graph = build_tiny_mlp()
+        forward_tensors = list(graph.tensors)
+        first = expand_training(graph)
+        second = expand_training(graph)
+        assert list(graph.tensors) == forward_tensors
+        assert first == second
+        assert len(first.tensors) > len(forward_tensors)
+
     def test_branchy_graph_expands_and_validates(self, branchy_graph):
         training = expand_training(build_tiny_mlp())
         assert training.num_kernels > 0

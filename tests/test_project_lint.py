@@ -3,10 +3,10 @@
 Covers the three layers separately and together: the symbol table
 (cross-module name resolution, re-exports, method resolution), the
 conservative call graph (project vs external edges, alias awareness,
-constructor typing), and the three project rule families — DET005
-(interprocedural determinism taint), ASY001 (await-atomicity) and EXC001
-(exception contracts) — each with fire/quiet fixture pairs, call-chain
-evidence assertions, and seeded-violation trees driven through the CLI.
+constructor typing), and the two project rule families — DET005
+(interprocedural determinism taint) and EXC001 (exception contracts) — each
+with fire/quiet fixture pairs, call-chain evidence assertions, and
+seeded-violation trees driven through the CLI.
 """
 
 import json
@@ -56,10 +56,10 @@ class TestSymbolTable:
     def test_function_and_method_ids(self):
         table = build_table(
             (
-                "experiments/queue.py",
+                "experiments/cache.py",
                 """
-                class WorkQueue:
-                    def lease(self):
+                class ResultCache:
+                    def put(self):
                         return 1
 
                 def helper():
@@ -67,9 +67,9 @@ class TestSymbolTable:
                 """,
             )
         )
-        assert "experiments/queue.py::WorkQueue.lease" in table.functions
-        assert "experiments/queue.py::helper" in table.functions
-        assert table.functions["experiments/queue.py::WorkQueue.lease"].cls == "WorkQueue"
+        assert "experiments/cache.py::ResultCache.put" in table.functions
+        assert "experiments/cache.py::helper" in table.functions
+        assert table.functions["experiments/cache.py::ResultCache.put"].cls == "ResultCache"
 
     def test_resolves_from_import_and_alias(self):
         table = build_table(
@@ -114,44 +114,44 @@ class TestSymbolTable:
     def test_method_resolution_walks_project_bases(self):
         table = build_table(
             (
-                "experiments/backend.py",
+                "experiments/base.py",
                 """
-                class QueueBackend:
-                    def enqueue(self):
+                class BaseStore:
+                    def put(self):
                         return 0
                 """,
             ),
             (
-                "experiments/queue.py",
+                "experiments/cache.py",
                 """
-                from .backend import QueueBackend
+                from .base import BaseStore
 
-                class WorkQueue(QueueBackend):
+                class ResultCache(BaseStore):
                     pass
                 """,
             ),
         )
-        queue = table.classes["experiments/queue.py::WorkQueue"]
-        method = table.resolve_method(queue, "enqueue")
+        cache = table.classes["experiments/cache.py::ResultCache"]
+        method = table.resolve_method(cache, "put")
         assert method is not None
-        assert method.fid == "experiments/backend.py::QueueBackend.enqueue"
+        assert method.fid == "experiments/base.py::BaseStore.put"
 
     def test_attr_types_from_constructor_assignment(self):
         table = build_table(
-            ("experiments/queue.py", "class WorkQueue:\n    pass\n"),
+            ("experiments/cache.py", "class ResultCache:\n    pass\n"),
             (
-                "experiments/server.py",
+                "experiments/sweep.py",
                 """
-                from .queue import WorkQueue
+                from .cache import ResultCache
 
-                class Server:
+                class Runner:
                     def __init__(self):
-                        self.queue = WorkQueue()
+                        self.cache = ResultCache()
                 """,
             ),
         )
-        server = table.classes["experiments/server.py::Server"]
-        assert server.attr_types == {"queue": "experiments/queue.py::WorkQueue"}
+        runner = table.classes["experiments/sweep.py::Runner"]
+        assert runner.attr_types == {"cache": "experiments/cache.py::ResultCache"}
 
 
 class TestCallGraph:
@@ -183,25 +183,25 @@ class TestCallGraph:
     def test_self_method_and_local_constructor_edges(self):
         table, graph = self._graph(
             (
-                "experiments/queue.py",
+                "experiments/cache.py",
                 """
-                class WorkQueue:
-                    def lease(self):
+                class ResultCache:
+                    def put(self):
                         return self._scan()
 
                     def _scan(self):
                         return 0
 
                 def drive():
-                    q = WorkQueue()
-                    return q.lease()
+                    cache = ResultCache()
+                    return cache.put()
                 """,
             ),
         )
-        lease_edges = graph.calls_from("experiments/queue.py::WorkQueue.lease")
-        assert [e.callee for e in lease_edges] == ["experiments/queue.py::WorkQueue._scan"]
-        drive_targets = {e.callee for e in graph.calls_from("experiments/queue.py::drive")}
-        assert "experiments/queue.py::WorkQueue.lease" in drive_targets
+        put_edges = graph.calls_from("experiments/cache.py::ResultCache.put")
+        assert [e.callee for e in put_edges] == ["experiments/cache.py::ResultCache._scan"]
+        drive_targets = {e.callee for e in graph.calls_from("experiments/cache.py::drive")}
+        assert "experiments/cache.py::ResultCache.put" in drive_targets
 
     def test_dynamic_dispatch_produces_no_edge(self):
         _, graph = self._graph(
@@ -312,138 +312,6 @@ class TestDET005InterproceduralTaint:
     def test_selecting_det005_without_project_mode_is_an_error(self):
         with pytest.raises(LintError, match="--project"):
             lint_source("x = 1\n", package_path="sim/engine.py", select=["DET005"])
-
-
-class TestASY001AwaitAtomicity:
-    def test_fires_on_read_await_write_race(self):
-        findings = project(
-            (
-                "experiments/server.py",
-                """
-                class Server:
-                    async def stop(self):
-                        if self._server is not None:
-                            self._server.close()
-                            await self._server.wait_closed()
-                            self._server = None
-                """,
-            ),
-        )
-        assert codes(findings) == ["ASY001"]
-        finding = findings[0]
-        assert "self._server" in finding.message
-        assert len(finding.evidence) == 3
-        assert "reads self._server" in finding.evidence[0]
-        assert "await" in finding.evidence[1]
-        assert "writes self._server" in finding.evidence[2]
-
-    def test_quiet_on_claim_before_await_idiom(self):
-        findings = project(
-            (
-                "experiments/server.py",
-                """
-                class Server:
-                    async def stop(self):
-                        server, self._server = self._server, None
-                        if server is not None:
-                            server.close()
-                            await server.wait_closed()
-                """,
-            ),
-        )
-        assert findings == []
-
-    def test_fires_on_augmented_assign_across_await(self):
-        findings = project(
-            (
-                "experiments/server.py",
-                """
-                class Server:
-                    async def bump(self):
-                        self.count += await self._next()
-                """,
-            ),
-        )
-        assert codes(findings) == ["ASY001"]
-
-    def test_quiet_when_read_happens_after_the_await(self):
-        findings = project(
-            (
-                "experiments/server.py",
-                """
-                class Server:
-                    async def refresh(self):
-                        value = await self._fetch()
-                        self.total = self.total + value
-                """,
-            ),
-        )
-        assert findings == []
-
-    def test_fires_when_stale_read_travels_through_a_local(self):
-        findings = project(
-            (
-                "experiments/server.py",
-                """
-                class Server:
-                    async def refresh(self):
-                        current = self.total
-                        extra = await self._fetch()
-                        self.total = current + extra
-                """,
-            ),
-        )
-        assert codes(findings) == ["ASY001"]
-
-    def test_fires_on_module_global_with_global_declaration(self):
-        findings = project(
-            (
-                "experiments/state.py",
-                """
-                COUNTER = 0
-
-                async def bump(fetch):
-                    global COUNTER
-                    base = COUNTER
-                    delta = await fetch()
-                    COUNTER = base + delta
-                """,
-            ),
-        )
-        assert codes(findings) == ["ASY001"]
-        assert "COUNTER" in findings[0].message
-
-    def test_quiet_on_independent_write_after_await(self):
-        # start()-style: the write does not depend on the pre-await read.
-        findings = project(
-            (
-                "experiments/server.py",
-                """
-                class Server:
-                    async def start(self):
-                        if self.port == 0:
-                            pass
-                        server = await self._bind()
-                        self.server = server
-                """,
-            ),
-        )
-        assert findings == []
-
-    def test_inline_suppression_on_write_line(self):
-        findings = project(
-            (
-                "experiments/server.py",
-                """
-                class Server:
-                    async def stop(self):
-                        if self._server is not None:
-                            await self._server.wait_closed()
-                            self._server = None  # repro-lint: disable=ASY001 -- single-writer by construction
-                """,
-            ),
-        )
-        assert findings == []
 
 
 EXC_ERRORS = (
@@ -564,47 +432,17 @@ class TestEXC001ExceptionContract:
         )
         assert findings == []
 
-    def test_fires_on_queue_backend_implementation(self):
-        findings = project(
-            EXC_ERRORS,
-            (
-                "experiments/backend.py",
-                """
-                class QueueBackend:
-                    pass
-                """,
-            ),
-            (
-                "experiments/queue.py",
-                """
-                from .backend import QueueBackend
-
-                class WorkQueue(QueueBackend):
-                    def lease(self, worker):
-                        if not worker:
-                            raise RuntimeError("no worker")
-                        return None
-                """,
-            ),
-        )
-        assert codes(findings) == ["EXC001"]
-        assert "WorkQueue.lease" in findings[0].message
-
     def test_private_methods_and_control_flow_exceptions_are_exempt(self):
         findings = project(
             EXC_ERRORS,
-            ("experiments/backend.py", "class QueueBackend:\n    pass\n"),
             (
-                "experiments/queue.py",
+                "cli.py",
                 """
-                from .backend import QueueBackend
+                def _cmd_stop(args):
+                    raise KeyboardInterrupt()
 
-                class WorkQueue(QueueBackend):
-                    def run(self):
-                        raise KeyboardInterrupt()
-
-                    def _scan(self):
-                        raise ValueError("internal")
+                def _parse(args):
+                    raise ValueError("internal")
                 """,
             ),
         )
@@ -649,17 +487,6 @@ class TestProjectCLI:
         (root / "experiments" / "helper.py").write_text(
             "import time\n\ndef stamp():\n    return time.time()\n"
         )
-        (root / "experiments" / "server.py").write_text(
-            textwrap.dedent(
-                """
-                class QueueServer:
-                    async def ack(self, key):
-                        pending = self.pending
-                        await self.queue.ack(key)
-                        self.pending = pending - 1
-                """
-            )
-        )
         (root / "cli.py").write_text(
             "def _cmd_run(args):\n    raise ValueError('bad args')\n"
         )
@@ -670,13 +497,12 @@ class TestProjectCLI:
         assert cli_main(["lint", str(tree), "--project", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         by_rule = {f["rule"]: f for f in payload["findings"]}
-        assert {"DET005", "ASY001", "EXC001"} <= set(by_rule)
+        assert {"DET005", "EXC001"} <= set(by_rule)
         assert payload["summary"]["project"] is True
-        for rule in ("DET005", "ASY001", "EXC001"):
+        for rule in ("DET005", "EXC001"):
             assert by_rule[rule]["evidence"], rule
             assert by_rule[rule]["fingerprint"]
         assert any("time.time()" in hop for hop in by_rule["DET005"]["evidence"])
-        assert any("await" in hop for hop in by_rule["ASY001"]["evidence"])
         assert by_rule["EXC001"]["evidence"][-1].endswith("raises ValueError")
 
     def test_project_rules_inactive_without_flag(self, tmp_path, capsys):
@@ -709,9 +535,7 @@ class TestProjectCLI:
         # the non-project run's findings are grandfathered; the project rules'
         # findings are new
         assert payload["summary"]["baselined"] >= 1
-        assert {f["rule"] for f in payload["findings"]} == {
-            "DET005", "ASY001", "EXC001"
-        }
+        assert {f["rule"] for f in payload["findings"]} == {"DET005", "EXC001"}
 
     def test_syntax_error_exits_2_and_blocks_baseline_update(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "broken.py"

@@ -3,10 +3,10 @@
 Every numpy rewrite in ``core/``/``uvm/`` carries the same contract: it must
 produce *byte-equal* results to the straightforward scalar Python it replaced,
 because golden files and the sweep result cache compare bit-for-bit. The
-retained scalar implementations live in :mod:`repro.core.reference`; these
-Hypothesis suites drive production code and reference side by side with
-randomized inputs and assert exact equality — ``==`` on floats, never
-``approx``.
+retained scalar implementations live in ``scalar_reference.py`` next to this
+file; these Hypothesis suites drive production code and reference side by
+side with randomized inputs and assert exact equality — ``==`` on floats,
+never ``approx``.
 """
 
 import numpy as np
@@ -19,16 +19,16 @@ from repro.core.bandwidth import ChannelSchedule, Direction
 from repro.core.eviction import saturation_end_slot
 from repro.core.prefetch import SmartPrefetcher
 from repro.core.pressure import MemoryPressureTimeline
-from repro.core.reference import (
+from repro.core.vitality import InactivePeriod
+from repro.errors import SchedulingError
+from repro.uvm.fault import PageFaultModel
+from scalar_reference import (
     ScalarChannelSchedule,
     scalar_earliest_issue,
     scalar_eviction_benefit,
     scalar_fault_costs,
     scalar_saturation_end_slot,
 )
-from repro.core.vitality import InactivePeriod
-from repro.errors import SchedulingError
-from repro.uvm.fault import PageFaultModel
 
 MAX_SLOTS = 24
 
