@@ -1,5 +1,6 @@
 """Smoke tests for the ``python -m repro`` command-line interface."""
 
+import functools
 import json
 import os
 import subprocess
@@ -392,3 +393,73 @@ class TestRegistryListings:
             assert "CLI Plugin Policy" in capsys.readouterr().out
         finally:
             POLICY_REGISTRY.unregister("cli_plugin_policy")
+
+
+# The one-execution-path surface: sweeps run serially or on the process pool,
+# and static shards plus `repro cache merge` are the only cross-machine path.
+GRID_COMMANDS = {
+    "figure": ("figure", "11", "--scale", "ci", "--models", "bert"),
+    "sweep": ("sweep", "--models", "bert", "--policies", "g10", "--scale", "ci"),
+    "report": ("report", "--scale", "ci", "--figures", "2"),
+}
+REMOVED_OPTIONS = {
+    "--queue": (),
+    "--queue-dir": ("queue",),
+    "--queue-url": ("http://localhost:8765",),
+    "--workers": ("2",),
+    "--lease-timeout": ("30",),
+}
+
+
+class TestSingleExecutionPath:
+    @pytest.mark.parametrize("option", sorted(REMOVED_OPTIONS))
+    @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+    def test_distribution_options_are_rejected(self, tmp_path, capsys, command, option):
+        argv = [*GRID_COMMANDS[command], "--cache-dir", str(tmp_path / "c"),
+                option, *REMOVED_OPTIONS[option]]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()  # rejected before any work ran
+
+    @pytest.mark.parametrize("command", ["queue", "serve"])
+    def test_queue_and_serve_commands_are_gone(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_queue_dir_environment_variable_is_ignored(self, tmp_path, capsys, monkeypatch):
+        queue_dir = tmp_path / "queue"
+        monkeypatch.setenv("REPRO_QUEUE_DIR", str(queue_dir))
+        assert run_cli(*GRID_COMMANDS["sweep"], "--cache-dir", str(tmp_path / "c")) == 0
+        assert "1 executed" in capsys.readouterr().err
+        assert not queue_dir.exists()
+
+
+@functools.lru_cache(maxsize=None)
+def modules_imported_by(statement: str) -> frozenset[str]:
+    """Every module a fresh interpreter imports to run ``statement``."""
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", statement],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return frozenset(
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and line.count("|") == 2
+    )
+
+
+class TestStartupImports:
+    """Every `repro` command starts an interpreter; none of them needs the
+    network stack."""
+
+    @pytest.mark.parametrize("module", ["asyncio", "http.client", "ssl", "urllib.request"])
+    @pytest.mark.parametrize("statement", ["import repro", "import repro.cli"])
+    def test_network_stack_is_not_imported(self, statement, module):
+        imported = modules_imported_by(statement)
+        assert statement.split()[1] in imported
+        assert module not in imported

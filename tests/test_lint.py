@@ -17,6 +17,7 @@ from repro.analysis.lint import (
     LINT_REGISTRY,
     Baseline,
     LintRule,
+    ProjectRule,
     lint_paths,
     lint_source,
     package_path_of,
@@ -461,6 +462,44 @@ class TestSuppressions:
         unsuppressed = source.replace("  # repro-lint: disable=DET001 -- fixture", "")
         assert codes(lint_snippet(unsuppressed, "sim/engine.py")) == ["DET001"]
 
+
+# One minimal violation per file-level rule. ``@`` marks the line the finding
+# lands on, where a suppression comment goes.
+VIOLATIONS = {
+    "DET001": ("sim/engine.py", "import time\n\ndef tick():\n    return time.time()@\n"),
+    "DET002": ("core/prefetch.py", "def memo(items):\n    return {id(item): item for item in items}@\n"),
+    "DET003": (
+        "core/scheduler.py",
+        "def schedule(out):\n    for item in {3, 1, 2}:@\n        out.append(item)\n",
+    ),
+    "DET004": ("core/bandwidth.py", "def probe(values, j):\n    return values[j] == 0.0@\n"),
+    "API001": ("experiments/harness.py", "from ._compat import run_policy@\n"),
+    "PERF001": (
+        "core/pressure.py",
+        "import numpy as np\n\ndef walk(values, out):\n"
+        "    for value in np.asarray(values):@\n        out.append(value)\n",
+    ),
+}
+
+
+class TestEveryRuleHonoursSuppressions:
+    def test_every_file_level_rule_has_a_violation_fixture(self):
+        file_rules = {
+            LINT_REGISTRY.get(name).code
+            for name in LINT_REGISTRY.available()
+            if not issubclass(LINT_REGISTRY.get(name), ProjectRule)
+        }
+        assert file_rules == set(VIOLATIONS)
+
+    @pytest.mark.parametrize("code", sorted(VIOLATIONS))
+    def test_inline_disable_silences_only_its_rule(self, code):
+        path, source = VIOLATIONS[code]
+        assert codes(lint_source(source.replace("@", ""), package_path=path)) == [code]
+        other = "DET002" if code != "DET002" else "DET001"
+        wrong = source.replace("@", f"  # repro-lint: disable={other}")
+        assert codes(lint_source(wrong, package_path=path)) == [code]
+        right = source.replace("@", f"  # repro-lint: disable={code} -- fixture")
+        assert lint_source(right, package_path=path) == []
 
 class TestFrameworkAndCLI:
     def test_package_path_of(self):

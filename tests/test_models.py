@@ -11,7 +11,7 @@ from repro.models import (
     build_model,
     model_description,
 )
-from repro.models.registry import FIGURE11_BATCH_SIZES, normalize_model_name
+from repro.models.registry import FIGURE11_BATCH_SIZES, MODEL_REGISTRY, normalize_model_name
 
 
 class TestRegistry:
@@ -95,6 +95,35 @@ class TestKernelCounts:
         training = expand_training(build_model(model, batch_size=2))
         assert low <= training.num_kernels <= high
 
+
+
+class TestExpansionLeavesModelsIntact:
+    """Expanding a model for training must not grow its forward graph, so a
+    workload expanded twice (or re-expanded with other optimizer settings)
+    sees the same training iteration."""
+
+    OPTIMIZERS = {
+        "momentum": {"include_optimizer": True, "momentum_state": True},
+        "sgd": {"include_optimizer": True, "momentum_state": False},
+        "no-optimizer": {"include_optimizer": False, "momentum_state": False},
+    }
+
+    @pytest.mark.parametrize("optimizer", list(OPTIMIZERS))
+    @pytest.mark.parametrize("model", sorted(available_models()))
+    def test_repeated_expansion_is_pure(self, model, optimizer):
+        graph = build_model(model, batch_size=8, **MODEL_REGISTRY.metadata(model)["ci_overrides"])
+        forward = list(graph.tensors)
+        first = expand_training(graph, **self.OPTIMIZERS[optimizer])
+        second = expand_training(graph, **self.OPTIMIZERS[optimizer])
+        assert list(graph.tensors) == forward
+        assert first == second
+        assert all(first.tensor(t.tensor_id) == t for t in forward)
+
+        # Momentum adds exactly one optimizer-state tensor per weight.
+        plain = expand_training(graph, include_optimizer=False)
+        extra = len(first.tensors) - len(plain.tensors)
+        assert extra == (len(first.weight_ids) if optimizer == "momentum" else 0)
+        assert list(graph.tensors) == forward
 
 class TestBuilderLayers:
     def test_conv_output_shape(self):

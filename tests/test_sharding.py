@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import (
+    EXPERIMENTS,
     ResultCache,
     SweepCell,
     SweepPlan,
@@ -209,3 +214,97 @@ class TestReportFromWarmCache:
     def test_warm_cache_requires_a_cache(self):
         with pytest.raises(ConfigurationError):
             warm_cache(scale="ci", figures=("2",), runner=SweepRunner(cache=None))
+
+
+GRID_EXPERIMENTS = [experiment for experiment in EXPERIMENTS if experiment.spec is not None]
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+
+# Prints the (key, shard) ownership of the whole report grid, as a machine of
+# a cross-machine sweep would compute it for itself.
+OWNERSHIP_SCRIPT = """
+import json, sys
+from repro.experiments import SweepPlan, combined_spec
+plan = SweepPlan.build(combined_spec(sys.argv[1]), shard_count=int(sys.argv[2]))
+print(json.dumps([[entry.key, entry.shard] for entry in plan.entries]))
+"""
+
+
+class TestEveryExperimentGrid:
+    """Static shard ownership over every experiment's grid, at both scales.
+
+    Each machine of a cross-machine sweep plans its shard on its own, so
+    ownership has to be a pure function of the spec: every distinct key owned
+    exactly once, in contiguous blocks of first-occurrence key order whose
+    sizes differ by at most one key, and independent of cache state.
+    """
+
+    @pytest.mark.parametrize("scale", ["ci", "paper"])
+    @pytest.mark.parametrize("experiment", GRID_EXPERIMENTS, ids=lambda e: e.id)
+    def test_shards_partition_the_distinct_keys_into_balanced_blocks(
+        self, experiment, scale
+    ):
+        spec = experiment.spec(scale)
+        distinct = list(dict.fromkeys(cell.cache_key() for cell in spec.cells))
+        for shard_count in (1, 2, 3, 7, len(distinct) + 1):
+            plan = SweepPlan.build(spec, shard_count=shard_count)
+            owner: dict[str, int] = {}
+            for entry in plan.entries:
+                assert owner.setdefault(entry.key, entry.shard) == entry.shard
+            assert list(owner) == distinct
+            shards = [owner[key] for key in distinct]
+            assert shards == sorted(shards)
+            sizes = [shards.count(index) for index in range(shard_count)]
+            assert max(sizes) - min(sizes) <= 1
+
+            # The shards' cells, taken together, are the spec's cells.
+            owned = [e.cell for index in range(shard_count) for e in plan.shard_entries(index)]
+            assert sorted(owned, key=SweepCell.cache_key) == sorted(
+                spec.cells, key=SweepCell.cache_key
+            )
+            assert SweepPlan.from_dict(plan.to_dict()) == plan
+
+
+class TestOwnershipAcrossInterpreters:
+    @pytest.mark.parametrize("hash_seed", ["0", "1", "4242"])
+    @pytest.mark.parametrize("scale", ["ci", "paper"])
+    def test_fresh_interpreter_assigns_the_same_owners(self, scale, hash_seed):
+        """Shards need no coordinator because every process agrees on owners,
+        whatever its string-hash seed."""
+        env = {**os.environ, "PYTHONPATH": SRC_DIR, "PYTHONHASHSEED": hash_seed}
+        completed = subprocess.run(
+            [sys.executable, "-c", OWNERSHIP_SCRIPT, scale, "5"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        plan = SweepPlan.build(combined_spec(scale), shard_count=5)
+        expected = [[entry.key, entry.shard] for entry in plan.entries]
+        assert json.loads(completed.stdout) == expected
+
+
+@pytest.fixture(scope="module")
+def serial_cache(tmp_path_factory):
+    """SPEC run serially into one cold cache: the reference entries."""
+    cache = ResultCache(tmp_path_factory.mktemp("serial"))
+    SweepRunner(cache=cache).run(SPEC)
+    return cache
+
+
+class TestMergedShardsMatchSerial:
+    @pytest.mark.parametrize("shard_count", [1, 2, 3, 4, 6])
+    def test_merged_cache_is_byte_identical_to_the_serial_cache(
+        self, tmp_path, serial_cache, shard_count
+    ):
+        shard_caches = [ResultCache(tmp_path / f"shard{i}") for i in range(shard_count)]
+        for index, cache in enumerate(shard_caches):
+            SweepRunner(cache=cache).run(SPEC, shard_index=index, shard_count=shard_count)
+        merged = ResultCache(tmp_path / "merged")
+        assert sum(merged.merge_from(cache) for cache in shard_caches) == 6
+        # A second merge of the same shards copies nothing.
+        assert sum(merged.merge_from(cache) for cache in shard_caches) == 0
+
+        def entries(cache):
+            return {
+                path.relative_to(cache.root).as_posix(): path.read_bytes()
+                for path in sorted(cache.root.glob("*/*.json"))
+            }
+
+        assert entries(merged) == entries(serial_cache)
